@@ -14,6 +14,8 @@ and R1 to (-pi, pi] (periodic modulo 2*pi).
 A two-level unitary on states (s1, s2) differing in bit r becomes a rotation
 chain targeting qubit r, controlled on every other qubit, wrapped in X gates
 on the qubits where s1 has a 0 bit so the controls all test for 1.
+
+``census`` tallies a circuit's gates by kind.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def _angle_period(kind: GateKind) -> float:
 class Gate:
     """One gate: a kind, a target qubit, sorted control qubits, an angle.
 
-    X and FCX carry no angle; rotation kinds require one, normalized into
-    the kind's canonical range at construction.
+    X and FCX carry no angle; rotation kinds require a finite one,
+    normalized into the kind's canonical range at construction.
     """
 
     kind: GateKind
@@ -97,7 +99,13 @@ class Gate:
         if self.kind in ROTATION_KINDS:
             if self.angle is None:
                 raise ValueError(f"kind {self.kind.value!r} requires an angle")
-            normalized = normalize_angle(float(self.angle), _angle_period(self.kind))
+            try:
+                angle = float(self.angle)
+            except OverflowError:
+                raise ValueError("angle is too large for a float") from None
+            if not math.isfinite(angle):
+                raise ValueError(f"angle must be finite, got {angle}")
+            normalized = normalize_angle(angle, _angle_period(self.kind))
             object.__setattr__(self, "angle", normalized)
         elif self.angle is not None:
             raise ValueError(f"kind {self.kind.value!r} takes no angle")
@@ -127,6 +135,42 @@ class Circuit:
 
     def __iter__(self):
         return iter(self.gates)
+
+
+@dataclass(frozen=True)
+class GateCensus:
+    """Per-kind gate counts for one circuit."""
+
+    n: int
+    x: int
+    ry: int
+    rz: int
+    r1: int
+    fcx: int
+
+    @property
+    def total(self) -> int:
+        return self.x + self.ry + self.rz + self.r1 + self.fcx
+
+    @property
+    def ratio(self) -> float:
+        """Total gate count relative to 4**n."""
+        return self.total / 4**self.n
+
+
+def census(circuit: Circuit) -> GateCensus:
+    """Count gates by kind (X and FCX tallied separately)."""
+    counts = {kind: 0 for kind in GateKind}
+    for gate in circuit.gates:
+        counts[gate.kind] += 1
+    return GateCensus(
+        n=circuit.n,
+        x=counts[GateKind.X],
+        ry=counts[GateKind.FCRY],
+        rz=counts[GateKind.FCRZ],
+        r1=counts[GateKind.FCR1],
+        fcx=counts[GateKind.FCX],
+    )
 
 
 def ry_matrix(angle: float) -> np.ndarray:

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .circuit import Circuit, GateKind, matrix_to_circuit
+from .circuit import GateCensus, census, matrix_to_circuit
 from .emitters import (
     CircuitFormatError,
     emit_json,
@@ -21,42 +20,6 @@ from .emitters import (
 )
 from .matrix import QUBIT_LIMIT, haar_random_unitary, load_matrix
 from .simulator import default_verification_tol, verify
-
-
-@dataclass(frozen=True)
-class GateCensus:
-    """Per-kind gate counts for one circuit."""
-
-    n: int
-    x: int
-    ry: int
-    rz: int
-    r1: int
-    fcx: int
-
-    @property
-    def total(self) -> int:
-        return self.x + self.ry + self.rz + self.r1 + self.fcx
-
-    @property
-    def ratio(self) -> float:
-        """Total gate count relative to 4**n."""
-        return self.total / 4**self.n
-
-
-def census(circuit: Circuit) -> GateCensus:
-    """Count gates by kind (X and FCX tallied separately)."""
-    counts = {kind: 0 for kind in GateKind}
-    for gate in circuit.gates:
-        counts[gate.kind] += 1
-    return GateCensus(
-        n=circuit.n,
-        x=counts[GateKind.X],
-        ry=counts[GateKind.FCRY],
-        rz=counts[GateKind.FCRZ],
-        r1=counts[GateKind.FCR1],
-        fcx=counts[GateKind.FCX],
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

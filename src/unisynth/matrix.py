@@ -6,7 +6,8 @@ qubit ``j``, so the leftmost character of a ket string is qubit 0 and is the
 least significant bit.  For ``n=5`` the state 25 renders as ``"10011"``.
 
 Contains:
-- ``is_unitary`` / ``validate_unitary``: Frobenius-norm unitarity checks.
+- ``is_unitary`` / ``validate_unitary``: Frobenius-norm unitarity checks
+  (``validate_unitary`` also rejects NaN and infinite entries).
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format.
 - ``ket_string`` / ``parse_ket``: state-index rendering helpers.
@@ -69,16 +70,20 @@ def is_unitary(matrix: np.ndarray, tol: float | None = None) -> bool:
 
 
 def validate_unitary(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Check shape and unitarity, returning a fresh complex128 copy.
+    """Check shape, finiteness and unitarity, returning a fresh complex128 copy.
 
     Raises:
         DimensionError: non-square or non-power-of-two dimension.
-        UnitarityError: residual above ``tol`` (default ``1e-8 * dim``).
+        UnitarityError: a NaN or infinite entry, or residual above ``tol``
+            (default ``1e-8 * dim``).
     """
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     num_qubits(m.shape[0])
+    # a NaN residual compares False against tol, so test finiteness first
+    if not np.isfinite(m).all():
+        raise UnitarityError("matrix has a NaN or infinite entry")
     residual = unitarity_residual(m)
     if tol is None:
         tol = default_unitarity_tol(m.shape[0])
@@ -144,7 +149,8 @@ def load_matrix(text: str | bytes, tol: float | None = None) -> np.ndarray:
     Raises:
         MatrixFormatError: malformed JSON or wrong document structure.
         DimensionError: dimension not 2**n or inconsistent with "n".
-        UnitarityError: unitarity residual above ``tol`` (default 1e-8 * dim).
+        UnitarityError: a NaN or infinite entry (JSON ``NaN``/``Infinity``
+            tokens), or unitarity residual above ``tol`` (default 1e-8 * dim).
     """
     try:
         doc = json.loads(text)

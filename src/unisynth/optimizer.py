@@ -7,8 +7,10 @@ Two rewrites, both exact:
   matters; qubits with odd parity keep one X at their first position in the
   run.
 
-``optimize`` alternates the passes to a fixed point, which also makes it
-idempotent.
+``optimize`` runs each pass once, dropping first so the X runs on either
+side of a dropped rotation merge before cancelling.  Cancelling never
+creates an identity rotation and never joins two runs, so a second round
+would change nothing: ``optimize`` is idempotent.
 """
 
 from __future__ import annotations
@@ -57,9 +59,5 @@ def cancel_x_pairs(circuit: Circuit) -> Circuit:
 
 
 def optimize(circuit: Circuit) -> Circuit:
-    """Apply both passes repeatedly until the circuit stops shrinking."""
-    while True:
-        reduced = cancel_x_pairs(drop_identity_gates(circuit))
-        if reduced.gates == circuit.gates:
-            return reduced
-        circuit = reduced
+    """Drop identity rotations, then cancel X pairs."""
+    return cancel_x_pairs(drop_identity_gates(circuit))

@@ -1,9 +1,24 @@
 """Dense circuit simulation and decomposition verification.
 
-``circuit_matrix`` folds gates into an identity matrix one at a time.  Each
-gate touches only row pairs whose indices satisfy the controls and differ in
-the target bit, so application is a vectorized 2x2 update over the selected
-rows; X and FCX are exact row swaps with no float arithmetic.
+``circuit_matrix`` folds gates into an identity matrix one at a time while
+tracking an XOR frame: logical row ``i`` of the running product is stored at
+physical row ``i ^ frame``.
+
+- An uncontrolled X permutes rows by flipping its target bit, so it only
+  flips that bit of the frame; one gather at the end restores logical order.
+- A gate whose controls and target cover every qubit moves exactly one row
+  pair, logical rows ``dim-1-tbit`` and ``dim-1``.  The pair is found in O(1)
+  and updated in place through row views: FCX swaps the two rows, Rz scales
+  both and R1 scales one.
+- A gate with partial controls (as parsed circuits may hold) selects its
+  row pairs with one mask over the row indices.
+
+The result equals (``np.array_equal``) a row-by-row application of every
+gate's 2x2 block in logical order.  Moving the frame is a permutation with
+no arithmetic.  Each updated row goes through the same scalar-first products
+and sums as the full 2x2 update.  The zero products of diagonal blocks and
+the product by R1's exact 1 are skipped, which is exact because adding a
+zero or multiplying by one does not change a value.
 """
 
 from __future__ import annotations
@@ -16,9 +31,12 @@ from .circuit import Circuit, Gate, GateKind, r1_matrix, ry_matrix, rz_matrix
 from .matrix import DimensionError
 
 
+_SWAP_KINDS = frozenset({GateKind.X, GateKind.FCX})
+
+
 def gate_block(gate: Gate) -> np.ndarray:
     """The 2x2 matrix a gate applies on its target pair."""
-    if gate.kind in (GateKind.X, GateKind.FCX):
+    if gate.kind in _SWAP_KINDS:
         return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     if gate.kind is GateKind.FCRY:
         return ry_matrix(gate.angle)
@@ -27,45 +45,63 @@ def gate_block(gate: Gate) -> np.ndarray:
     return r1_matrix(gate.angle)
 
 
-def _selected_rows(gate: Gate, dim: int) -> np.ndarray:
-    """Row indices with target bit 0 and every control bit 1."""
-    idx = np.arange(dim)
-    mask = (idx >> gate.target) & 1 == 0
-    for q in gate.controls:
-        mask &= (idx >> q) & 1 == 1
-    return idx[mask]
+def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
+    """Apply a gate's 2x2 block in place to its target-bit-0 and -1 rows.
 
-
-def _apply_gate(m: np.ndarray, gate: Gate) -> None:
-    s0 = _selected_rows(gate, m.shape[0])
-    s1 = s0 | (1 << gate.target)
-    # fancy indexing copies, so reads below are safe against the writes
-    if gate.kind in (GateKind.X, GateKind.FCX):
-        low = m[s0]
-        m[s0] = m[s1]
-        m[s1] = low
+    Scalars multiply first (``b * row``, never ``row * b``): numpy's complex
+    multiply may round the two orders differently in the last bit.
+    """
+    if gate.kind in _SWAP_KINDS:
+        saved = low.copy()
+        low[...] = high
+        high[...] = saved
         return
     block = gate_block(gate)
-    low = m[s0]
-    high = m[s1]
-    m[s0] = block[0, 0] * low + block[0, 1] * high
-    m[s1] = block[1, 0] * low + block[1, 1] * high
+    if gate.kind is GateKind.FCRY:
+        new_low = block[0, 0] * low
+        new_low += block[0, 1] * high
+        # b11*high + b10*low: the operands of the sum swap, which is exact
+        np.multiply(block[1, 1], high, out=high)
+        high += block[1, 0] * low
+        low[...] = new_low
+        return
+    # Rz and R1 are diagonal, and R1's upper entry is exactly 1
+    if gate.kind is GateKind.FCRZ:
+        np.multiply(block[0, 0], low, out=low)
+    np.multiply(block[1, 1], high, out=high)
 
 
 def gate_matrix(gate: Gate, n: int) -> np.ndarray:
     """Full 2**n matrix of a single gate."""
-    Circuit(n, (gate,))  # bounds-check the gate's qubits against n
-    m = np.eye(1 << n, dtype=np.complex128)
-    _apply_gate(m, gate)
-    return m
+    # the Circuit bounds-checks the gate's qubits against n
+    return circuit_matrix(Circuit(n, (gate,)))
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Full matrix of a circuit, gates applied in list order."""
-    m = np.eye(1 << circuit.n, dtype=np.complex128)
+    dim = 1 << circuit.n
+    full = circuit.n - 1
+    m = np.eye(dim, dtype=np.complex128)
+    idx = np.arange(dim)
+    frame = 0
     for gate in circuit.gates:
-        _apply_gate(m, gate)
-    return m
+        tbit = 1 << gate.target
+        controls = gate.controls
+        if not controls and gate.kind in _SWAP_KINDS:
+            frame ^= tbit
+        elif len(controls) == full:
+            # every control bit 1, target bit 0: the one logical row dim-1-tbit
+            s0 = (dim - 1 - tbit) ^ frame
+            _apply_block(m[s0], m[s0 ^ tbit], gate)
+        else:
+            cmask = sum(1 << q for q in controls)
+            s0 = idx[(idx & (cmask | tbit)) == cmask] ^ frame
+            s1 = s0 ^ tbit
+            low, high = m[s0], m[s1]
+            _apply_block(low, high, gate)
+            m[s0] = low
+            m[s1] = high
+    return m[idx ^ frame] if frame else m
 
 
 def default_verification_tol(n: int) -> float:

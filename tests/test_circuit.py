@@ -269,3 +269,15 @@ def test_matrix_to_circuit_unoptimized_agrees_with_optimized():
     assert len(fast.gates) <= len(slow.gates)
     delta = circuit_matrix(fast) - circuit_matrix(slow)
     assert np.linalg.norm(delta) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [GateKind.FCRY, GateKind.FCRZ, GateKind.FCR1])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_gate_rejects_non_finite_angle(kind, angle):
+    with pytest.raises(ValueError, match="finite"):
+        Gate(kind, 0, (), angle)
+
+
+def test_matrix_to_circuit_rejects_nan_matrix():
+    with pytest.raises(UnitarityError, match="NaN or infinite"):
+        matrix_to_circuit(np.full((2, 2), np.nan))

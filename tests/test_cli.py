@@ -1,12 +1,26 @@
 """CLI subcommands, exit codes, and the bench table."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unisynth import haar_random_unitary, parse_json, save_matrix, verify
 from unisynth.cli import GateCensus, census, main
+
+
+def _src_env():
+    """Environment for a child interpreter that imports the package under test."""
+    import unisynth
+
+    env = dict(os.environ)
+    src = str(Path(unisynth.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture
@@ -191,3 +205,53 @@ def test_bench_rejects_bad_range(capsys):
     assert "n-max" in capsys.readouterr().err
     assert main(["bench", "--n-min", "0", "--n-max", "2"]) == 2
     assert main(["bench", "--seeds-per-n", "0"]) == 2
+
+
+def _nan_matrix_file(tmp_path):
+    path = tmp_path / "nan.json"
+    row = "[[NaN, NaN], [NaN, NaN]]"
+    path.write_text(f'{{"n": 1, "matrix": [{row}, {row}]}}', encoding="utf-8")
+    return str(path)
+
+
+def test_decompose_nan_matrix_is_input_error(tmp_path, capsys):
+    assert main(["decompose", "-i", _nan_matrix_file(tmp_path)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_verify_nan_matrix_is_input_error(tmp_path, capsys):
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text('{"version": 1, "n": 1, "gates": []}', encoding="utf-8")
+    assert main(["verify", "-i", _nan_matrix_file(tmp_path), "-c", str(circuit_path)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_verify_nan_angle_is_input_error(matrix_file, tmp_path, capsys):
+    path = matrix_file(np.eye(2))
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text(
+        '{"version": 1, "n": 1, "gates": '
+        '[{"kind": "fcry", "target": 0, "controls": [], "angle": NaN}]}',
+        encoding="utf-8",
+    )
+    assert main(["verify", "-i", path, "-c", str(circuit_path)]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "frobenius" not in captured.out
+
+
+def test_package_import_leaves_cli_and_argparse_unloaded():
+    code = "import sys, unisynth; print('argparse' in sys.modules, 'unisynth.cli' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=_src_env(), timeout=60)
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_python_dash_m_runs_without_warnings():
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "unisynth", "bench", "--n-max", "1"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[1].split() == ["1", "0", "1", "2", "1", "0", "4", "1.00"]

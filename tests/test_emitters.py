@@ -294,3 +294,22 @@ def test_parse_json_rejects_out_of_range_qubits():
     text = '{"version": 1, "n": 1, "gates": [{"kind": "x", "target": 1, "controls": []}]}'
     with pytest.raises(CircuitFormatError):
         parse_json(text)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_parse_json_rejects_non_finite_angle(token):
+    text = (
+        '{"version": 1, "n": 1, "gates": [{"kind": "fcrz", "target": 0, '
+        f'"controls": [], "angle": {token}}}]}}'
+    )
+    with pytest.raises(CircuitFormatError, match="finite"):
+        parse_json(text)
+
+
+def test_parse_json_rejects_angle_too_large_for_a_float():
+    text = (
+        '{"version": 1, "n": 1, "gates": [{"kind": "fcry", "target": 0, '
+        f'"controls": [], "angle": 1{"0" * 400}}}]}}'
+    )
+    with pytest.raises(CircuitFormatError, match="too large"):
+        parse_json(text)

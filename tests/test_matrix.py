@@ -178,3 +178,32 @@ def test_load_tolerance_override():
     with pytest.raises(UnitarityError):
         load_matrix(text)
     assert load_matrix(text, tol=1e-2) is not None
+
+
+def _with_entry(value):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = value
+    return m
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.full((4, 4), np.nan),
+        _with_entry(np.inf),
+        _with_entry(complex(0.0, np.nan)),
+    ],
+)
+def test_validate_unitary_rejects_non_finite_entries(matrix):
+    with pytest.raises(UnitarityError, match="NaN or infinite"):
+        validate_unitary(matrix)
+    # a large tolerance does not let it through either
+    with pytest.raises(UnitarityError):
+        validate_unitary(matrix, tol=1e300)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_json_tokens(token):
+    text = f'{{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, {token}], [1.0, 0.0]]]}}'
+    with pytest.raises(UnitarityError, match="NaN or infinite"):
+        load_matrix(text)

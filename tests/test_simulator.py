@@ -21,6 +21,7 @@ from unisynth import (
 from unisynth.simulator import default_verification_tol
 
 from conftest import CNOT, random_circuit
+from masked_simulator import masked_circuit_matrix
 
 
 def test_single_x_matrix():
@@ -167,3 +168,60 @@ def test_pipeline_round_trip_small_sample(n):
     for seed in range(5):
         a = haar_random_unitary(n, seed)
         assert verify(a, matrix_to_circuit(a)).passed
+
+
+# The frame-tracked simulator against the masked reference, bit for bit.
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matches_masked_reference_on_random_circuits(n):
+    rng = np.random.default_rng(100 + n)
+    for length in (1, 20, 200):
+        c = random_circuit(rng, n, length)
+        assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matches_masked_reference_on_compiled_circuits(n):
+    c = matrix_to_circuit(haar_random_unitary(n, 42))
+    assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
+
+
+def _x(q):
+    return Gate(GateKind.X, q)
+
+
+def test_matches_masked_reference_when_ending_on_a_nonzero_frame():
+    c = Circuit(3, (
+        Gate(GateKind.FCRY, 1, (0, 2), 0.7),
+        _x(0),
+        Gate(GateKind.FCRZ, 0, (1, 2), -1.3),
+        _x(2),
+        _x(1),
+    ))
+    assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
+
+
+def test_matches_masked_reference_under_a_nonzero_frame():
+    # full-control FCX/R1 and partial-control rotations with X gates pending
+    c = Circuit(3, (
+        _x(0),
+        _x(2),
+        Gate(GateKind.FCX, 1, (0, 2)),
+        Gate(GateKind.FCRY, 0, (2,), 0.4),
+        Gate(GateKind.FCR1, 2, (0, 1), 2.1),
+        Gate(GateKind.FCRZ, 1, (), 0.9),
+        Gate(GateKind.FCX, 0, (1,)),
+        _x(0),
+        Gate(GateKind.FCX, 2, ()),
+        Gate(GateKind.FCRY, 1, (0, 2), -2.5),
+    ))
+    assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_x_only_single_qubit_circuits(count):
+    c = Circuit(1, (_x(0),) * count)
+    expected = np.eye(2)[::-1] if count % 2 else np.eye(2)
+    assert np.array_equal(circuit_matrix(c), expected)
+    assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
