@@ -1,0 +1,106 @@
+"""Golden digests: the compiler's emitted text, pinned byte for byte.
+
+The sha256 of ``emit_json``, ``emit_qasm3`` and ``emit_qsharp`` for a fixed
+set of inputs was recorded before the synthesis fast path (validate once,
+shared X gates, unchecked internal blocks, row-restricted elimination) went
+in.  Any change to the circuits the compiler emits, down to the last bit of
+an angle, changes a digest.  The inputs are Haar-random unitaries at n = 1..6
+and three structured 4-qubit matrices from seeded numpy.  The digests pin
+float results of numpy's QR and matrix products on x86_64 with OpenBLAS;
+another linear-algebra build may round differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from unisynth import (
+    emit_json,
+    emit_qasm3,
+    emit_qsharp,
+    haar_random_unitary,
+    matrix_to_circuit,
+)
+
+# name -> sha256 of (emit_json, emit_qasm3, emit_qsharp)
+GOLDEN = {
+    "haar_n1_seed42": (
+        "6ada385c0d80a1bb83b7801526f63c0ab7d9fdb27fc82f55156e01de0e64e815",
+        "12415c5dd34c4998d1eebc25692971ebfe57d8716997fc93220e689ad7151185",
+        "4f1136563943743125ce5d4f132d1cbf7bc8fc15a7277a35b2ba7d7d6d2c6f62",
+    ),
+    "haar_n2_seed42": (
+        "c1a4e982906788d646dec3a66bf36f699b314f0908e076ab4ed39714cae27257",
+        "6c7deb3c1d653ac070c9da690ad5e2fa979330f8de0b84bef775362d1402667f",
+        "b6062e46bdf9085228ad7893d859f9b7fc41aee23161a0d7f0be4b166434f73c",
+    ),
+    "haar_n3_seed42": (
+        "d71f890638486ce927ee043d5cceec76b44a2ae43e94f7245246749cd4d61e1c",
+        "c51197511877657e6e82d6860ff966d56d5807d0dc5c57f70261a75fe695b809",
+        "0e216ff6373e42b0ef3ade056d38edff370a04ca456ce4802307ce96da781114",
+    ),
+    "haar_n4_seed42": (
+        "bf6bf3b2bfb9a98786853f149f7ff8656c95efb32dab181ba60184cd8c0063b7",
+        "924941583a6d5b5fb2f729e32f740dedd03a6236bc0d8f344323cb7134fbc032",
+        "2670099a35901a0f8fb18c4ae99d8b41206fa834da2739071f61df5dc983e679",
+    ),
+    "haar_n5_seed42": (
+        "e1cd9537903aa78579d8c66fe126d39ef1f7e84bab8dc6eebd6f153dba0cdca4",
+        "3d78028d1990605ca4d43e0c37e694eaedd71e9685eef1d7c09ad53f86f217ce",
+        "1f5c5e9fc7c5a15a407d60b668284ad005277bed4279690da8a385f31eafba6c",
+    ),
+    "haar_n6_seed42": (
+        "4856e9e08ccfc263f0fbce6d07910319c4674ef24ae520fd368be025f7693b7b",
+        "1e26fe6157c88373a382ec51ade719e3b5e05d2f0edc971e7afd7ce87da676d0",
+        "718789b82c60f40b06873c1ee2cec1290a0204e90984f26403639f673d21df0f",
+    ),
+    "diagonal_phase_n4": (
+        "5c7fc7840b9278b5875e934cb170a13bcd27ae49743ad976c12d16aac2ba3d65",
+        "fd048ebd06c0caf444e8c9e72d708b57a850522276c7ff550646dbcd14ee4402",
+        "ceedadec273edee145b069ab35e47092d791d8c66f6dc95079cbc429b9d9d04f",
+    ),
+    "controlled_u_n4": (
+        "de50609f1ee54f69022d13faf2ee50b8fc741ab30564db9c18f7b27981483aae",
+        "a4ea1c1608ab8a10503f3fa22493c02dddea3e74bbdcf1916f3a475044bb3daa",
+        "cdf67648d2ee47e204b066c52f0e68f58e3451d4ef6ffe83333c7f647bbd462f",
+    ),
+    "block_diagonal_n4": (
+        "5537f329f09514d442fad239816f4b7daa905f1cf3ef10e4cf63ec017f56df93",
+        "b56d3de131fbce66544c42e7da261dd20a64da466a03eedea6ba9cda91ccb27f",
+        "115c289458cf0d0622782e1726914b6b870d72eecb0df0c0c7ea942a671d4f38",
+    ),
+}
+
+
+def _qr_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag.conj() / np.abs(diag))
+
+
+def _inputs() -> dict[str, np.ndarray]:
+    inputs = {f"haar_n{n}_seed42": haar_random_unitary(n, 42) for n in range(1, 7)}
+    rng = np.random.default_rng(2024)
+    inputs["diagonal_phase_n4"] = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 16)))
+    # U on qubits 0..2, controlled on qubit 3 (the high half of the indices)
+    controlled = np.eye(16, dtype=np.complex128)
+    controlled[8:, 8:] = _qr_unitary(rng, 8)
+    inputs["controlled_u_n4"] = controlled
+    block_diagonal = np.zeros((16, 16), dtype=np.complex128)
+    for k in range(4):
+        block_diagonal[4 * k : 4 * k + 4, 4 * k : 4 * k + 4] = _qr_unitary(rng, 4)
+    inputs["block_diagonal_n4"] = block_diagonal
+    return inputs
+
+
+INPUTS = _inputs()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_emitted_text_matches_golden_digest(name):
+    circuit = matrix_to_circuit(INPUTS[name])
+    texts = (emit_json(circuit), emit_qasm3(circuit), emit_qsharp(circuit))
+    digests = tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
+    assert digests == GOLDEN[name]
