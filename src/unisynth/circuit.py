@@ -16,11 +16,16 @@ chain targeting qubit r, controlled on every other qubit, wrapped in X gates
 on the qubits where s1 has a 0 bit so the controls all test for 1.
 
 ``census`` tallies a circuit's gates by kind.
+
+Synthesis shares one X gate per qubit and one control tuple per target
+(``Gate`` is frozen) and builds rotation gates without re-running ``Gate``'s
+checks, whose invariants its fields hold by construction.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,13 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .matrix import (
-    DimensionError,
-    UnitarityError,
-    is_unitary,
-    num_qubits,
-    validate_unitary,
-)
+from .matrix import DimensionError, UnitarityError, is_unitary, num_qubits
 from .twolevel import X_BLOCK, TwoLevelUnitary, two_level_decompose
 
 TWO_PI = 2.0 * math.pi
@@ -111,6 +110,25 @@ class Gate:
             raise ValueError(f"kind {self.kind.value!r} takes no angle")
 
 
+def _rotation(
+    kind: GateKind, target: int, controls: tuple[int, ...], angle: float
+) -> Gate:
+    """A rotation ``Gate`` from fields that already hold its invariants.
+
+    The caller guarantees a non-negative int target, sorted distinct
+    non-negative int controls without the target, and a finite float angle;
+    only the angle normalization of ``Gate.__post_init__`` is done here.
+    """
+    gate = object.__new__(Gate)
+    gate.__dict__.update(
+        kind=kind,
+        target=target,
+        controls=controls,
+        angle=normalize_angle(angle, _angle_period(kind)),
+    )
+    return gate
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate sequence on ``n`` qubits; gates apply left to right."""
@@ -123,11 +141,11 @@ class Circuit:
             raise ValueError(f"qubit count must be positive, got {self.n}")
         gates = tuple(self.gates)
         for gate in gates:
-            used = (gate.target, *gate.controls)
-            if any(q >= self.n for q in used):
-                raise ValueError(
-                    f"gate touches qubit {max(used)} but circuit has n={self.n}"
-                )
+            controls = gate.controls
+            # controls are sorted, so the last one is the largest
+            if gate.target >= self.n or (controls and controls[-1] >= self.n):
+                top = max((gate.target, *controls))
+                raise ValueError(f"gate touches qubit {top} but circuit has n={self.n}")
         object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
@@ -214,13 +232,17 @@ def zyz_decompose(matrix: np.ndarray) -> ZYZAngles:
         raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not is_unitary(u, 1e-10):
         raise UnitarityError("zyz_decompose requires a unitary matrix")
+    return _zyz_angles(u)
+
+
+def _zyz_angles(u: np.ndarray) -> ZYZAngles:
+    # unchecked core of zyz_decompose for a 2x2 complex128 array; R1(-phi)
+    # scales only row 1 of U, so the angles read row 0 of U itself
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     phi = cmath.phase(det)
-    su = u.copy()
-    su[1, :] *= cmath.exp(-1j * phi)
-    theta = math.acos(min(1.0, abs(su[0, 0])))
-    lam = cmath.phase(su[0, 0])
-    mu = cmath.phase(su[0, 1])
+    theta = math.acos(min(1.0, abs(u[0, 0])))
+    lam = cmath.phase(u[0, 0])
+    mu = cmath.phase(u[0, 1])
     return ZYZAngles(phi, theta, lam, mu)
 
 
@@ -234,6 +256,14 @@ def zyz_reconstruct(angles: ZYZAngles) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _wiring(n: int) -> tuple[tuple[Gate, ...], tuple[tuple[int, ...], ...]]:
+    """Per-qubit X gates and, per target, the tuple of all other qubits."""
+    x_gates = tuple(Gate(GateKind.X, q) for q in range(n))
+    controls = tuple(tuple(q for q in range(n) if q != r) for r in range(n))
+    return x_gates, controls
+
+
 def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
     """Realize one two-level unitary as fully-controlled gates plus X wraps.
 
@@ -242,29 +272,27 @@ def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
     order) and after (descending order) so every control tests for 1.  A
     block that is exactly X becomes a single FCX (plain X when ``n == 1``);
     otherwise the chain is Rz, Ry, Rz, R1 with identity-angle links skipped.
+    The element's block is taken as unitary: ``TwoLevelUnitary`` checks it
+    unless it came from ``two_level_decompose``, which validated the input.
     """
     if element.s2 >= (1 << n):
         raise ValueError(f"state {element.s2} out of range for {n} qubits")
+    x_gates, all_controls = _wiring(n)
     r = element.changed_bit
-    controls = tuple(q for q in range(n) if q != r)
-    flips = [q for q in controls if not (element.s1 >> q) & 1]
-    before = [Gate(GateKind.X, q) for q in flips]
-    after = [Gate(GateKind.X, q) for q in reversed(flips)]
+    controls = all_controls[r]
+    before = [x_gates[q] for q in controls if not (element.s1 >> q) & 1]
+    after = before[::-1]
     if np.array_equal(element.block, X_BLOCK):
         kind = GateKind.FCX if controls else GateKind.X
         return before + [Gate(kind, r, controls)] + after
-    angles = zyz_decompose(element.block)
-    chain = [
-        (GateKind.FCRZ, angles.lam - angles.mu),
-        (GateKind.FCRY, 2.0 * angles.theta),
-        (GateKind.FCRZ, angles.lam + angles.mu),
-        (GateKind.FCR1, angles.phi),
-    ]
-    core = []
-    for kind, angle in chain:
-        gate = Gate(kind, r, controls, angle)
-        if abs(gate.angle) > IDENTITY_ANGLE_TOL:
-            core.append(gate)
+    angles = _zyz_angles(element.block)
+    chain = (
+        _rotation(GateKind.FCRZ, r, controls, angles.lam - angles.mu),
+        _rotation(GateKind.FCRY, r, controls, 2.0 * angles.theta),
+        _rotation(GateKind.FCRZ, r, controls, angles.lam + angles.mu),
+        _rotation(GateKind.FCR1, r, controls, angles.phi),
+    )
+    core = [gate for gate in chain if abs(gate.angle) > IDENTITY_ANGLE_TOL]
     return before + core + after
 
 
@@ -283,10 +311,11 @@ def matrix_to_circuit(
     """
     from . import optimizer
 
-    m = validate_unitary(matrix, tol)
-    n = num_qubits(m.shape[0])
+    # two_level_decompose validates the matrix; nothing downstream re-checks
+    elements = two_level_decompose(matrix, tol)
+    n = num_qubits(len(matrix))
     gates: list[Gate] = []
-    for element in two_level_decompose(m, tol):
+    for element in elements:
         gates.extend(two_level_to_gates(element, n))
     circuit = Circuit(n, tuple(gates))
     if optimize:

@@ -18,8 +18,16 @@ from .emitters import (
     emit_qsharp,
     parse_json,
 )
-from .matrix import QUBIT_LIMIT, haar_random_unitary, load_matrix
+from .matrix import QUBIT_LIMIT, check_tolerance, haar_random_unitary, load_matrix
 from .simulator import default_verification_tol, verify
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tol``: a finite float >= 0."""
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dec.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         help="override both the input unitarity and verification tolerances",
     )
     dec.add_argument(
@@ -57,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="simulate a circuit against a matrix file")
     ver.add_argument("--input", "-i", required=True, help="matrix JSON file")
     ver.add_argument("--circuit", "-c", required=True, help="circuit JSON file")
-    ver.add_argument("--tol", type=float, help="Frobenius pass threshold")
+    ver.add_argument("--tol", type=_tolerance, help="Frobenius pass threshold")
     ver.set_defaults(func=_cmd_verify)
 
     ben = sub.add_parser(

@@ -165,7 +165,9 @@ def _parse_gate(entry: object, index: int) -> Gate:
     ):
         raise CircuitFormatError(f"gate {index}: controls must be integers")
     angle = entry.get("angle")
-    if angle is not None and not isinstance(angle, (int, float)):
+    if angle is not None and (
+        isinstance(angle, bool) or not isinstance(angle, (int, float))
+    ):
         raise CircuitFormatError(f"gate {index}: angle must be a number")
     if kind in ROTATION_KINDS and angle is None:
         raise CircuitFormatError(f"gate {index}: kind {kind.value!r} needs an angle")

@@ -8,6 +8,7 @@ least significant bit.  For ``n=5`` the state 25 renders as ``"10011"``.
 Contains:
 - ``is_unitary`` / ``validate_unitary``: Frobenius-norm unitarity checks
   (``validate_unitary`` also rejects NaN and infinite entries).
+- ``check_tolerance``: the one rule for a caller-supplied tolerance.
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format.
 - ``ket_string`` / ``parse_ket``: state-index rendering helpers.
@@ -38,6 +39,17 @@ class UnitarityError(ValueError):
 def default_unitarity_tol(dim: int) -> float:
     """Unitarity tolerance scaled with dimension to absorb accumulated float error."""
     return 1e-8 * dim
+
+
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is a finite number >= 0, else raise ValueError.
+
+    A NaN tolerance would make every ``residual > tol`` test False and so
+    accept anything; an infinite or negative one is never meant.
+    """
+    if not tol >= 0.0 or math.isinf(tol):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def num_qubits(dim: int) -> int:
@@ -76,7 +88,10 @@ def validate_unitary(matrix: np.ndarray, tol: float | None = None) -> np.ndarray
         DimensionError: non-square or non-power-of-two dimension.
         UnitarityError: a NaN or infinite entry, or residual above ``tol``
             (default ``1e-8 * dim``).
+        ValueError: ``tol`` is NaN, infinite or negative.
     """
+    if tol is not None:
+        check_tolerance(tol)
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -147,7 +162,9 @@ def load_matrix(text: str | bytes, tol: float | None = None) -> np.ndarray:
     """Parse and validate a matrix from the JSON matrix format.
 
     Raises:
-        MatrixFormatError: malformed JSON or wrong document structure.
+        MatrixFormatError: malformed JSON, wrong document structure, an entry
+            that is not a pair of JSON numbers (``true``/``false`` are not
+            numbers), or a number too large for a float.
         DimensionError: dimension not 2**n or inconsistent with "n".
         UnitarityError: a NaN or infinite entry (JSON ``NaN``/``Infinity``
             tokens), or unitarity residual above ``tol`` (default 1e-8 * dim).
@@ -167,21 +184,27 @@ def load_matrix(text: str | bytes, tol: float | None = None) -> np.ndarray:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise MatrixFormatError('"matrix" must be an array of rows')
     dim = len(rows)
-    num_qubits(dim)
-    if dim != (1 << n):
+    if n != num_qubits(dim):
         raise DimensionError(f'matrix has {dim} rows but "n" is {n}')
-    out = np.empty((dim, dim), dtype=np.complex128)
+    # json.loads yields exactly int or float for a JSON number; the exact
+    # type test keeps out bool, which is an int subclass
+    reals = (int, float)
     for i, row in enumerate(rows):
         if len(row) != dim:
             raise DimensionError(f"row {i} has {len(row)} entries, expected {dim}")
         for j, entry in enumerate(row):
             if (
-                not isinstance(entry, list)
+                type(entry) is not list
                 or len(entry) != 2
-                or not all(isinstance(part, (int, float)) for part in entry)
+                or type(entry[0]) not in reals
+                or type(entry[1]) not in reals
             ):
                 raise MatrixFormatError(
                     f"entry ({i}, {j}) must be a [re, im] pair of reals"
                 )
-            out[i, j] = complex(entry[0], entry[1])
-    return validate_unitary(out, tol)
+    try:
+        pairs = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        raise MatrixFormatError("an entry is too large for a float") from None
+    # (re, im) float pairs have complex128's memory layout
+    return validate_unitary(pairs.view(np.complex128).reshape(dim, dim), tol)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, r1_matrix, ry_matrix, rz_matrix
-from .matrix import DimensionError
+from .matrix import DimensionError, check_tolerance
 
 
 _SWAP_KINDS = frozenset({GateKind.X, GateKind.FCX})
@@ -126,7 +126,8 @@ def verify(
 
     Args:
         matrix: target, must be ``2**circuit.n`` on a side.
-        tol: Frobenius pass threshold (default scales with ``circuit.n``).
+        tol: Frobenius pass threshold (default scales with ``circuit.n``);
+            must be finite and >= 0.
     """
     target = np.asarray(matrix, dtype=np.complex128)
     dim = 1 << circuit.n
@@ -136,6 +137,8 @@ def verify(
         )
     if tol is None:
         tol = default_verification_tol(circuit.n)
+    else:
+        check_tolerance(tol)
     diff = circuit_matrix(circuit) - target
     frobenius = float(np.linalg.norm(diff))
     max_abs = float(np.abs(diff).max())

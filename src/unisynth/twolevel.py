@@ -9,6 +9,9 @@ fully-controlled gate downstream.
 
 ``two_level_decompose`` returns the blocks in application order: multiplying
 their embeddings last-to-first (``reconstruct_matrix``) reproduces the input.
+It validates its input once; the blocks it builds are unitary by formula
+(or, for the trailing corner, up to the validated input's residual) and skip
+the public ``TwoLevelUnitary`` unitarity check.
 """
 
 from __future__ import annotations
@@ -127,6 +130,13 @@ class TwoLevelUnitary:
             raise UnitarityError("two-level block is not unitary")
         object.__setattr__(self, "block", block)
 
+    @classmethod
+    def _trusted(cls, s1: int, s2: int, block: np.ndarray) -> TwoLevelUnitary:
+        # s1 < s2 one bit apart and a 2x2 complex128 block, known by the caller
+        element = object.__new__(cls)
+        element.__dict__.update(s1=s1, s2=s2, block=block)
+        return element
+
     @property
     def changed_bit(self) -> int:
         """Index of the single bit in which s1 and s2 differ."""
@@ -174,17 +184,20 @@ def two_level_decompose(
         if s1 > s2:
             s1, s2 = s2, s1
             block = X_BLOCK @ block @ X_BLOCK
-        out.append(TwoLevelUnitary(s1, s2, block))
+        # a C-ordered block of its own, as TwoLevelUnitary's copy gives; the
+        # conjugate-transpose view would keep its base array alive as well
+        out.append(TwoLevelUnitary._trusted(s1, s2, np.ascontiguousarray(block)))
 
-    def apply(hi: int, block: np.ndarray) -> None:
-        work[:, hi - 1 : hi + 1] = work[:, hi - 1 : hi + 1] @ block
+    def apply(row: int, hi: int, block: np.ndarray) -> None:
+        # rows above ``row`` are finished and never read again
+        work[row:, hi - 1 : hi + 1] = work[row:, hi - 1 : hi + 1] @ block
 
     for row in range(dim - 2):
         for col in range(dim - 1, row, -1):
             if abs(work[row, col]) <= ZERO_THRESHOLD:
                 continue
             block, _ = eliminate_entry(work[row, col - 1], work[row, col])
-            apply(col, block)
+            apply(row, col, block)
             emit(col - 1, col, block.conj().T)
         diag = work[row, row]
         if abs(diag - 1.0) > _PHASE_TOL:
@@ -195,7 +208,7 @@ def two_level_decompose(
             block = np.array(
                 [[phase.conjugate(), 0.0], [0.0, phase]], dtype=np.complex128
             )
-            apply(row + 1, block)
+            apply(row, row + 1, block)
             emit(row, row + 1, block.conj().T)
     final = np.array(work[dim - 2 :, dim - 2 :])
     if np.linalg.norm(final - np.eye(2)) > _FINAL_IDENTITY_TOL:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unisynth import (
     Circuit,
@@ -281,3 +283,54 @@ def test_gate_rejects_non_finite_angle(kind, angle):
 def test_matrix_to_circuit_rejects_nan_matrix():
     with pytest.raises(UnitarityError, match="NaN or infinite"):
         matrix_to_circuit(np.full((2, 2), np.nan))
+
+
+def _sparse_unitary(n, seed):
+    """Block-diagonal unitary (blocks of 2**k, k = 0 gives phases), rows permuted."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    size = 1 << int(rng.integers(0, n))
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    for start in range(0, dim, size):
+        if size == 1:
+            block = np.exp(1j * rng.uniform(-math.pi, math.pi))
+        else:
+            block = haar_random_unitary(size.bit_length() - 1, int(rng.integers(2**31)))
+        u[start : start + size, start : start + size] = block
+    return u[rng.permutation(dim)]
+
+
+_compiled_inputs = st.builds(
+    lambda sparse, n, seed: (n, (_sparse_unitary if sparse else haar_random_unitary)(n, seed)),
+    st.booleans(),
+    st.integers(1, 5),
+    st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_compiled_inputs, st.booleans())
+def test_compiled_gates_equal_public_constructor_gates(case, optimize):
+    n, matrix = case
+    for g in matrix_to_circuit(matrix, optimize=optimize).gates:
+        rebuilt = Gate(g.kind, g.target, g.controls, g.angle)
+        assert rebuilt == g
+        assert type(rebuilt.angle) is type(g.angle)
+        assert type(rebuilt.target) is type(g.target) is int
+
+
+@settings(max_examples=25, deadline=None)
+@given(_compiled_inputs)
+def test_circuit_accepts_compiled_gates(case):
+    n, matrix = case
+    gates = matrix_to_circuit(matrix, optimize=False).gates
+    assert Circuit(n, gates).gates == gates
+
+
+def test_circuit_rejects_out_of_range_gate_repeating_an_earlier_pair():
+    gate = Gate(GateKind.FCRY, 3, (2, 0, 1), 1.0)
+    assert len(Circuit(4, (gate, gate))) == 2
+    with pytest.raises(ValueError, match="qubit 3 but circuit has n=3"):
+        Circuit(3, (Gate(GateKind.X, 0), gate, gate))
+    with pytest.raises(ValueError, match="qubit 4 but circuit has n=2"):
+        Circuit(2, (Gate(GateKind.FCRZ, 0, (1,), 1.0), Gate(GateKind.FCRZ, 0, (4, 1), 1.0)))

@@ -255,3 +255,76 @@ def test_python_dash_m_runs_without_warnings():
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout.splitlines()[1].split() == ["1", "0", "1", "2", "1", "0", "4", "1.00"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_bad_tol_is_input_error(matrix_file, tmp_path, capsys, command, tol):
+    path = matrix_file(np.eye(2))
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text('{"version": 1, "n": 1, "gates": []}', encoding="utf-8")
+    argv = [command, "-i", path, "--tol", tol]
+    if command == "verify":
+        argv += ["-c", str(circuit_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [("[true, 0]", "entry (0, 1)"), (f"[1{'0' * 400}, 0]", "too large for a float")],
+    ids=["boolean", "huge-integer"],
+)
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_bad_matrix_number_is_input_error(tmp_path, capsys, command, entry, message):
+    path = tmp_path / "m.json"
+    path.write_text(
+        f'{{"n": 1, "matrix": [[[1, 0], {entry}], [[0, 0], [1, 0]]]}}', encoding="utf-8"
+    )
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text('{"version": 1, "n": 1, "gates": []}', encoding="utf-8")
+    argv = [command, "-i", str(path)]
+    if command == "verify":
+        argv += ["-c", str(circuit_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_boolean_angle_is_input_error(matrix_file, tmp_path, capsys):
+    path = matrix_file(np.eye(2))
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text(
+        '{"version": 1, "n": 1, "gates": '
+        '[{"kind": "fcry", "target": 0, "controls": [], "angle": true}]}',
+        encoding="utf-8",
+    )
+    assert main(["verify", "-i", path, "-c", str(circuit_path)]) == 2
+    assert "angle must be a number" in capsys.readouterr().err
+
+
+def _hadamard_8_decimals(n):
+    """Hadamard on qubit 0 of n qubits, entries written as 0.70710678."""
+    h = 0.70710678
+    rows = []
+    for i in range(1 << n):
+        row = [[0, 0] for _ in range(1 << n)]
+        low = i & ~1
+        row[low] = [h, 0]
+        row[low + 1] = [-h if i & 1 else h, 0]
+        rows.append(row)
+    return json.dumps({"n": n, "matrix": rows})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hadamard_within_input_tolerance_compiles_and_verifies(tmp_path, capsys, n):
+    # residual 4.7e-9 (n = 1) and 6.7e-9 (n = 2): inside the 1e-8 * d input
+    # tolerance, far above a fixed 1e-10 check on the internal blocks
+    path = tmp_path / "h.json"
+    path.write_text(_hadamard_8_decimals(n), encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert main(["decompose", "-i", str(path), "-o", str(out), "--backend", "json"]) == 0
+    assert "verification passed" in capsys.readouterr().err
+    assert main(["verify", "-i", str(path), "-c", str(out)]) == 0
+    assert "verification passed" in capsys.readouterr().out

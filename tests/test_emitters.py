@@ -313,3 +313,13 @@ def test_parse_json_rejects_angle_too_large_for_a_float():
     )
     with pytest.raises(CircuitFormatError, match="too large"):
         parse_json(text)
+
+
+@pytest.mark.parametrize("token", ["true", "false"])
+def test_parse_json_rejects_boolean_angle(token):
+    text = (
+        '{"version": 1, "n": 1, "gates": [{"kind": "fcry", "target": 0, '
+        f'"controls": [], "angle": {token}}}]}}'
+    )
+    with pytest.raises(CircuitFormatError, match="angle must be a number"):
+        parse_json(text)

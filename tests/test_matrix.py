@@ -207,3 +207,42 @@ def test_load_rejects_non_finite_json_tokens(token):
     text = f'{{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, {token}], [1.0, 0.0]]]}}'
     with pytest.raises(UnitarityError, match="NaN or infinite"):
         load_matrix(text)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_validate_unitary_rejects_bad_tolerance(tol):
+    # a NaN tolerance would otherwise accept any matrix: residual > nan is False
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        validate_unitary(np.full((2, 2), 5.0), tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        load_matrix(save_matrix(np.eye(2)), tol)
+
+
+def _identity_doc(entry01):
+    return f'{{"n": 1, "matrix": [[[1, 0], {entry01}], [[0, 0], [1, 0]]]}}'
+
+
+@pytest.mark.parametrize("entry", ["[true, 0]", "[0, false]", '["0", 0]', "[0, null]"])
+def test_load_rejects_non_number_parts(entry):
+    with pytest.raises(MatrixFormatError, match=r"entry \(0, 1\)"):
+        load_matrix(_identity_doc(entry))
+
+
+def test_load_rejects_integer_too_large_for_a_float():
+    with pytest.raises(MatrixFormatError, match="too large"):
+        load_matrix(_identity_doc(f"[1{'0' * 400}, 0]"))
+
+
+def test_load_integer_and_float_entries_match_complex():
+    values = [[1, 0], [0, -0.0], [0, 0.0], [-1, 0]]
+    text = json.dumps({"n": 1, "matrix": [values[:2], values[2:]]})
+    expected = np.array([[complex(*v) for v in values[:2]], [complex(*v) for v in values[2:]]])
+    loaded = load_matrix(text)
+    assert loaded.dtype == np.complex128
+    # bitwise, signed zeros included
+    assert loaded.tobytes() == expected.tobytes()
+
+
+def test_load_rejects_huge_qubit_count_without_building_it():
+    with pytest.raises(DimensionError, match='"n" is 1000000000000'):
+        load_matrix('{"n": 1000000000000, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')

@@ -225,3 +225,10 @@ def test_x_only_single_qubit_circuits(count):
     expected = np.eye(2)[::-1] if count % 2 else np.eye(2)
     assert np.array_equal(circuit_matrix(c), expected)
     assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_verify_rejects_bad_tolerance(tol):
+    circuit = Circuit(1, (Gate(GateKind.X, 0),))
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        verify(np.array([[0, 1], [1, 0]]), circuit, tol=tol)
