@@ -311,7 +311,7 @@ _compiled_inputs = st.builds(
 @settings(max_examples=25, deadline=None)
 @given(_compiled_inputs, st.booleans())
 def test_compiled_gates_equal_public_constructor_gates(case, optimize):
-    n, matrix = case
+    _, matrix = case
     for g in matrix_to_circuit(matrix, optimize=optimize).gates:
         rebuilt = Gate(g.kind, g.target, g.controls, g.angle)
         assert rebuilt == g
