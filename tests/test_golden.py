@@ -8,12 +8,19 @@ an angle, changes a digest.  The inputs are Haar-random unitaries at n = 1..6
 and three structured 4-qubit matrices from seeded numpy.  The digests pin
 float results of numpy's QR and matrix products on x86_64 with OpenBLAS;
 another linear-algebra build may round differently.
+
+``RANDOM_GOLDEN`` pins the emitters alone on ``random_circuit`` gate soups
+(n = 1..5, seeded), recorded before the emitters built their text from
+per-wiring fragments.  Unlike compiler output, these hold plain and
+fully-controlled X, partial, single and empty controls, and rotations at
+zero or full-period angles.  Their digests depend on no linear algebra.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from conftest import random_circuit
 
 from unisynth import (
     emit_json,
@@ -104,3 +111,55 @@ def test_emitted_text_matches_golden_digest(name):
     texts = (emit_json(circuit), emit_qasm3(circuit), emit_qsharp(circuit))
     digests = tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
     assert digests == GOLDEN[name]
+
+
+# n -> sha256 of (emit_json, emit_qasm3, emit_qsharp) of
+# random_circuit(default_rng(7000 + n), n, 200)
+RANDOM_GOLDEN = {
+    1: (
+        "d1c8f248b27ce2b07716941057a09015114c66c1fe4b7420a68c09dbe3fb81b4",
+        "c99813198cd17fb5a551d5860a7e7c2da24a1a630000ac355ff1af8261c4659a",
+        "c6f167b83ef9a75275e1183417acce849d8610a0504850dfb03bf063f19592f5",
+    ),
+    2: (
+        "c1533b09adf7a37aa22b24189544a00c10c7afc69410b5bfc691154216a518d5",
+        "291e805ffbdb4906c519c6e3e456c8435e199096097311ca972e90825487d4a4",
+        "37b66d2c3d2e130a931726dfbe340fdfba6081fd0a67873c16868f7fe0adb73a",
+    ),
+    3: (
+        "f4d56ac7f1ec9cf0ed44a46c519f0a2d42689320a177c8ebb0114e2b2c5c8054",
+        "a7f1222daca79cbf05ebca03ed2958b4f5aa4ffe4bb13418f1386903a7c0a41f",
+        "f719af4ee29a96ef2d1395bc4d5247a96bbcd844930ad6aaa8b512466fed1e37",
+    ),
+    4: (
+        "fc65b649105c4030572fc77878999f6aefed9ac957089a5eef5e3f11a8880d29",
+        "44435a1032f0d022c45311e8cc9a293b3bae3f7329c5fd2819a1c131a83b5a82",
+        "4bee5f3ff32fa55183762a1799ca6678f02fa7a56141f65d6d0d99a68da1c659",
+    ),
+    5: (
+        "ec769f824a19c26f43310fa6931c878f8e737e6bd363925d0683bd12613d4c22",
+        "d662e0bda9f5e2cef40128f7b899b93a51079dfe415b4bae5da0f2f1ab69c7cf",
+        "241c0e5c6c6c11d7dff1bcfccb64494b83c1c8db80a10f7c5758a43bbee025c4",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(RANDOM_GOLDEN))
+def test_random_circuit_text_matches_golden_digest(n):
+    circuit = random_circuit(np.random.default_rng(7000 + n), n, 200)
+    texts = (emit_json(circuit), emit_qasm3(circuit), emit_qsharp(circuit))
+    assert tuple(_sha256(t) for t in texts) == RANDOM_GOLDEN[n]
+
+
+def test_random_circuit_text_at_reduced_precision_matches_golden_digest():
+    circuit = random_circuit(np.random.default_rng(7003), 3, 200)
+    qasm3 = emit_qasm3(circuit, angle_precision=8)
+    qsharp = emit_qsharp(circuit, "Op", angle_precision=8)
+    assert (_sha256(qasm3), _sha256(qsharp)) == (
+        "f176b3b7b252cf0493423dca11de32d2006576a72fd9320c2ba8c9eeeded0d36",
+        "245296151d19cd4cf72a6272606c712392b685c58aba6356cb5ab4ab7f32fba0",
+    )
