@@ -18,7 +18,8 @@ on the qubits where s1 has a 0 bit so the controls all test for 1.
 ``census`` tallies a circuit's gates by kind.
 
 Synthesis shares one X gate per qubit and one control tuple per target
-(``Gate`` is frozen) and builds rotation gates without re-running ``Gate``'s
+(``Gate`` is frozen), reads each block once as Python scalars, and builds
+rotation gates through ``trusted_gate`` without re-running ``Gate``'s
 checks, whose invariants its fields hold by construction.
 """
 
@@ -34,7 +35,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .matrix import DimensionError, UnitarityError, is_unitary, num_qubits
-from .twolevel import X_BLOCK, TwoLevelUnitary, two_level_decompose
+from .twolevel import TwoLevelUnitary, two_level_decompose
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -67,7 +68,46 @@ def _angle_period(kind: GateKind) -> float:
     return TWO_PI if kind is GateKind.FCR1 else FOUR_PI
 
 
-@dataclass(frozen=True)
+def check_wiring(
+    kind: GateKind, target: int, controls: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Check a gate's wiring and return its controls as sorted ints.
+
+    ``Gate`` runs this for every gate it builds; ``parse_json`` runs it once
+    per distinct wiring of a document.
+    """
+    if target < 0:
+        raise ValueError(f"target must be nonnegative, got {target}")
+    controls = tuple(sorted(int(q) for q in controls))
+    if len(set(controls)) != len(controls):
+        raise ValueError(f"duplicate control qubits: {controls}")
+    if target in controls:
+        raise ValueError(f"target {target} appears in controls")
+    if any(q < 0 for q in controls):
+        raise ValueError(f"control qubits must be nonnegative: {controls}")
+    if kind is GateKind.X and controls:
+        raise ValueError("kind 'x' takes no controls; use 'fcx'")
+    return controls
+
+
+def check_angle(kind: GateKind, angle: float | None) -> float | None:
+    """Check a gate's angle against its kind and return it normalized."""
+    if kind in ROTATION_KINDS:
+        if angle is None:
+            raise ValueError(f"kind {kind.value!r} requires an angle")
+        try:
+            angle = float(angle)
+        except OverflowError:
+            raise ValueError("angle is too large for a float") from None
+        if not math.isfinite(angle):
+            raise ValueError(f"angle must be finite, got {angle}")
+        return normalize_angle(angle, _angle_period(kind))
+    if angle is not None:
+        raise ValueError(f"kind {kind.value!r} takes no angle")
+    return None
+
+
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: a kind, a target qubit, sorted control qubits, an angle.
 
@@ -81,51 +121,39 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", GateKind(self.kind))
-        object.__setattr__(self, "target", int(self.target))
-        if self.target < 0:
-            raise ValueError(f"target must be nonnegative, got {self.target}")
-        controls = tuple(sorted(int(q) for q in self.controls))
-        if len(set(controls)) != len(controls):
-            raise ValueError(f"duplicate control qubits: {controls}")
-        if self.target in controls:
-            raise ValueError(f"target {self.target} appears in controls")
-        if any(q < 0 for q in controls):
-            raise ValueError(f"control qubits must be nonnegative: {controls}")
-        object.__setattr__(self, "controls", controls)
-        if self.kind is GateKind.X and controls:
-            raise ValueError("kind 'x' takes no controls; use 'fcx'")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None:
-                raise ValueError(f"kind {self.kind.value!r} requires an angle")
-            try:
-                angle = float(self.angle)
-            except OverflowError:
-                raise ValueError("angle is too large for a float") from None
-            if not math.isfinite(angle):
-                raise ValueError(f"angle must be finite, got {angle}")
-            normalized = normalize_angle(angle, _angle_period(self.kind))
-            object.__setattr__(self, "angle", normalized)
-        elif self.angle is not None:
-            raise ValueError(f"kind {self.kind.value!r} takes no angle")
+        kind = GateKind(self.kind)
+        target = int(self.target)
+        controls = check_wiring(kind, target, self.controls)
+        angle = check_angle(kind, self.angle)
+        _set_kind(self, kind)
+        _set_target(self, target)
+        _set_controls(self, controls)
+        _set_angle(self, angle)
 
 
-def _rotation(
-    kind: GateKind, target: int, controls: tuple[int, ...], angle: float
+# the slots' own descriptors write past the frozen ``__setattr__``
+_set_kind = Gate.kind.__set__
+_set_target = Gate.target.__set__
+_set_controls = Gate.controls.__set__
+_set_angle = Gate.angle.__set__
+_new = object.__new__
+
+
+def trusted_gate(
+    kind: GateKind, target: int, controls: tuple[int, ...], angle: float | None
 ) -> Gate:
-    """A rotation ``Gate`` from fields that already hold its invariants.
+    """A ``Gate`` from fields already checked and normalized, unchecked.
 
-    The caller guarantees a non-negative int target, sorted distinct
-    non-negative int controls without the target, and a finite float angle;
-    only the angle normalization of ``Gate.__post_init__`` is done here.
+    The caller guarantees what ``check_wiring`` and ``check_angle`` return:
+    a non-negative int target, sorted distinct non-negative int controls
+    without the target, and a normalized finite float angle for rotation
+    kinds (``None`` otherwise).
     """
-    gate = object.__new__(Gate)
-    gate.__dict__.update(
-        kind=kind,
-        target=target,
-        controls=controls,
-        angle=normalize_angle(angle, _angle_period(kind)),
-    )
+    gate = _new(Gate)
+    _set_kind(gate, kind)
+    _set_target(gate, target)
+    _set_controls(gate, controls)
+    _set_angle(gate, angle)
     return gate
 
 
@@ -232,18 +260,15 @@ def zyz_decompose(matrix: np.ndarray) -> ZYZAngles:
         raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not is_unitary(u, 1e-10):
         raise UnitarityError("zyz_decompose requires a unitary matrix")
-    return _zyz_angles(u)
+    return _zyz_angles(*u.ravel().tolist())
 
 
-def _zyz_angles(u: np.ndarray) -> ZYZAngles:
-    # unchecked core of zyz_decompose for a 2x2 complex128 array; R1(-phi)
-    # scales only row 1 of U, so the angles read row 0 of U itself
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    phi = cmath.phase(det)
-    theta = math.acos(min(1.0, abs(u[0, 0])))
-    lam = cmath.phase(u[0, 0])
-    mu = cmath.phase(u[0, 1])
-    return ZYZAngles(phi, theta, lam, mu)
+def _zyz_angles(u00: complex, u01: complex, u10: complex, u11: complex) -> ZYZAngles:
+    # unchecked core of zyz_decompose on the entries as Python scalars;
+    # R1(-phi) scales only row 1 of U, so the angles read row 0 of U itself
+    phi = cmath.phase(u00 * u11 - u01 * u10)
+    theta = math.acos(min(1.0, abs(u00)))
+    return ZYZAngles(phi, theta, cmath.phase(u00), cmath.phase(u01))
 
 
 def zyz_reconstruct(angles: ZYZAngles) -> np.ndarray:
@@ -256,12 +281,27 @@ def zyz_reconstruct(angles: ZYZAngles) -> np.ndarray:
     )
 
 
+class _Wiring(NamedTuple):
+    """What synthesis on ``n`` qubits needs of each target and state."""
+
+    controls: tuple[tuple[int, ...], ...]  # per target, every other qubit
+    swaps: tuple[Gate, ...]  # per target, the gate of an exact X block
+    wraps: tuple[tuple[Gate, ...], ...]  # per state, X on each of its 0 bits
+
+
 @functools.lru_cache(maxsize=16)
-def _wiring(n: int) -> tuple[tuple[Gate, ...], tuple[tuple[int, ...], ...]]:
-    """Per-qubit X gates and, per target, the tuple of all other qubits."""
+def _wiring(n: int) -> _Wiring:
     x_gates = tuple(Gate(GateKind.X, q) for q in range(n))
     controls = tuple(tuple(q for q in range(n) if q != r) for r in range(n))
-    return x_gates, controls
+    swap = GateKind.FCX if n > 1 else GateKind.X
+    return _Wiring(
+        controls,
+        tuple(Gate(swap, r, controls[r]) for r in range(n)),
+        tuple(
+            tuple(x_gates[q] for q in range(n) if not (s >> q) & 1)
+            for s in range(1 << n)
+        ),
+    )
 
 
 def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
@@ -277,23 +317,27 @@ def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
     """
     if element.s2 >= (1 << n):
         raise ValueError(f"state {element.s2} out of range for {n} qubits")
-    x_gates, all_controls = _wiring(n)
+    wiring = _wiring(n)
     r = element.changed_bit
-    controls = all_controls[r]
-    before = [x_gates[q] for q in controls if not (element.s1 >> q) & 1]
-    after = before[::-1]
-    if np.array_equal(element.block, X_BLOCK):
-        kind = GateKind.FCX if controls else GateKind.X
-        return before + [Gate(kind, r, controls)] + after
-    angles = _zyz_angles(element.block)
-    chain = (
-        _rotation(GateKind.FCRZ, r, controls, angles.lam - angles.mu),
-        _rotation(GateKind.FCRY, r, controls, 2.0 * angles.theta),
-        _rotation(GateKind.FCRZ, r, controls, angles.lam + angles.mu),
-        _rotation(GateKind.FCR1, r, controls, angles.phi),
-    )
-    core = [gate for gate in chain if abs(gate.angle) > IDENTITY_ANGLE_TOL]
-    return before + core + after
+    # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves at 0
+    before = wiring.wraps[element.s2]
+    entries = element.block.ravel().tolist()
+    if entries == [0, 1, 1, 0]:
+        return [*before, wiring.swaps[r], *reversed(before)]
+    phi, theta, lam, mu = _zyz_angles(*entries)
+    controls = wiring.controls[r]
+    gates = list(before)
+    for kind, angle, period in (
+        (GateKind.FCRZ, lam - mu, FOUR_PI),
+        (GateKind.FCRY, 2.0 * theta, FOUR_PI),
+        (GateKind.FCRZ, lam + mu, FOUR_PI),
+        (GateKind.FCR1, phi, TWO_PI),
+    ):
+        angle = normalize_angle(angle, period)
+        if abs(angle) > IDENTITY_ANGLE_TOL:
+            gates.append(trusted_gate(kind, r, controls, angle))
+    gates.extend(reversed(before))
+    return gates
 
 
 def matrix_to_circuit(

@@ -5,14 +5,30 @@ stdgates library define ry/rz as exp(-i theta sigma/2), so those two kinds
 are emitted with the angle negated.  R1 matches Q# ``R1`` and QASM ``p``
 directly.  The JSON backend stores IR angles untouched and round-trips them
 bit-identically via shortest-repr decimal text.
+
+Every backend relies on one invariant: a statement's text depends only on
+the gate's wiring (kind, target, controls) and its angle, with the angle's
+text appearing once.  So each emitter renders the text around the angle
+once per distinct wiring and, per gate, formats only the angle between
+those two fragments.  ``parse_json`` likewise checks each distinct wiring
+of a document once, and every gate's angle and element types.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from typing import Callable, Iterable
 
-from .circuit import Circuit, Gate, GateKind, ROTATION_KINDS
+from .circuit import (
+    ROTATION_KINDS,
+    Circuit,
+    Gate,
+    GateKind,
+    check_angle,
+    check_wiring,
+    trusted_gate,
+)
 
 JSON_IR_VERSION = 1
 
@@ -23,21 +39,58 @@ _QUBIT_ORDER_NOTE = (
     " leftmost character of a ket string is qubit 0)"
 )
 
+# Stands in for the angle text while a wiring's statement is rendered once;
+# it is split out there and never reaches the emitted text.
+_ANGLE_SLOT = "\0"
+
 
 class CircuitFormatError(ValueError):
     """Malformed circuit JSON text."""
 
 
-def format_angle(value: float, precision: int = 17) -> str:
-    """Decimal text for an angle; 17 significant digits round-trip exactly."""
+def _statements(
+    gates: Iterable[Gate],
+    statement: Callable[[GateKind, int, tuple[int, ...], str], str],
+    precision: int,
+    negate: bool,
+) -> list[str]:
+    """The text of each gate, from fragments rendered once per wiring.
+
+    ``statement(kind, target, controls, angle_text)`` renders one gate.
+    Angles get 17 significant digits (shortest repr, exact round trip) at
+    ``precision >= 17``, else ``precision`` digits.  With ``negate``, Ry and
+    Rz angles are emitted negated.
+    """
     if precision >= 17:
-        return repr(float(value))
-    return format(float(value), f".{precision}g")
+        angle_text = float.__repr__
+    else:
+        spec = f".{precision}g"
 
+        def angle_text(value: float) -> str:
+            return format(value, spec)
 
-def _emitted_angle(gate: Gate) -> float:
-    # Ry/Rz flip sign crossing into exp(-i theta/2) backend conventions.
-    return gate.angle if gate.kind is GateKind.FCR1 else -gate.angle
+    fragments: dict = {}
+    out: list[str] = []
+    append = out.append
+    for gate in gates:
+        angle = gate.angle
+        key = (gate.kind, gate.target, gate.controls)
+        try:
+            fragment = fragments[key]
+        except KeyError:
+            if angle is None:
+                fragment = statement(*key, "")
+            else:
+                text = statement(*key, _ANGLE_SLOT)
+                head, _, tail = text.partition(_ANGLE_SLOT)
+                fragment = (head, tail, negate and gate.kind is not GateKind.FCR1)
+            fragments[key] = fragment
+        if angle is None:
+            append(fragment)
+        else:
+            head, tail, flip = fragment
+            append(head + angle_text(-angle if flip else angle) + tail)
+    return out
 
 
 def emit_qsharp(
@@ -52,24 +105,24 @@ def emit_qsharp(
         f"// Circuit on {circuit.n} qubit(s); {_QUBIT_ORDER_NOTE}.",
         f"operation {operation_name}(qs : Qubit[]) : Unit is Adj + Ctl {{",
     ]
-    for gate in circuit.gates:
-        lines.append(f"    {_qsharp_statement(gate, angle_precision)}")
+    lines += _statements(circuit.gates, _qsharp_statement, angle_precision, True)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _qsharp_statement(gate: Gate, precision: int) -> str:
-    target = f"qs[{gate.target}]"
-    controls = ", ".join(f"qs[{q}]" for q in gate.controls)
-    if gate.kind in (GateKind.X, GateKind.FCX):
-        if not gate.controls:
-            return f"X({target});"
-        return f"Controlled X([{controls}], {target});"
-    name = {GateKind.FCRY: "Ry", GateKind.FCRZ: "Rz", GateKind.FCR1: "R1"}[gate.kind]
-    angle = format_angle(_emitted_angle(gate), precision)
-    if not gate.controls:
-        return f"{name}({angle}, {target});"
-    return f"Controlled {name}([{controls}], ({angle}, {target}));"
+def _qsharp_statement(
+    kind: GateKind, target: int, controls: tuple[int, ...], angle: str
+) -> str:
+    qubit = f"qs[{target}]"
+    control_list = ", ".join(f"qs[{q}]" for q in controls)
+    if kind in (GateKind.X, GateKind.FCX):
+        if not controls:
+            return f"    X({qubit});"
+        return f"    Controlled X([{control_list}], {qubit});"
+    name = {GateKind.FCRY: "Ry", GateKind.FCRZ: "Rz", GateKind.FCR1: "R1"}[kind]
+    if not controls:
+        return f"    {name}({angle}, {qubit});"
+    return f"    Controlled {name}([{control_list}], ({angle}, {qubit}));"
 
 
 def emit_qasm3(circuit: Circuit, angle_precision: int = 17) -> str:
@@ -80,19 +133,20 @@ def emit_qasm3(circuit: Circuit, angle_precision: int = 17) -> str:
         f"// {_QUBIT_ORDER_NOTE}",
         f"qubit[{circuit.n}] q;",
     ]
-    for gate in circuit.gates:
-        lines.append(_qasm3_statement(gate, angle_precision))
+    lines += _statements(circuit.gates, _qasm3_statement, angle_precision, True)
     return "\n".join(lines) + "\n"
 
 
-def _qasm3_statement(gate: Gate, precision: int) -> str:
-    if gate.kind in (GateKind.X, GateKind.FCX):
+def _qasm3_statement(
+    kind: GateKind, target: int, controls: tuple[int, ...], angle: str
+) -> str:
+    if kind in (GateKind.X, GateKind.FCX):
         call = "x"
     else:
-        name = {GateKind.FCRY: "ry", GateKind.FCRZ: "rz", GateKind.FCR1: "p"}[gate.kind]
-        call = f"{name}({format_angle(_emitted_angle(gate), precision)})"
-    operands = ", ".join(f"q[{q}]" for q in (*gate.controls, gate.target))
-    k = len(gate.controls)
+        name = {GateKind.FCRY: "ry", GateKind.FCRZ: "rz", GateKind.FCR1: "p"}[kind]
+        call = f"{name}({angle})"
+    operands = ", ".join(f"q[{q}]" for q in (*controls, target))
+    k = len(controls)
     if k == 0:
         return f"{call} {operands};"
     modifier = "ctrl @" if k == 1 else f"ctrl({k}) @"
@@ -100,18 +154,25 @@ def _qasm3_statement(gate: Gate, precision: int) -> str:
 
 
 def emit_json(circuit: Circuit) -> str:
-    """Render the circuit as version-1 JSON with exact angle round-trip."""
-    gates = []
-    for gate in circuit.gates:
-        entry: dict = {
-            "kind": gate.kind.value,
-            "target": gate.target,
-            "controls": list(gate.controls),
-        }
-        if gate.angle is not None:
-            entry["angle"] = gate.angle
-        gates.append(entry)
-    return json.dumps({"version": JSON_IR_VERSION, "n": circuit.n, "gates": gates})
+    """Render the circuit as version-1 JSON with exact angle round-trip.
+
+    The text equals ``json.dumps`` of the document
+    ``{"version", "n", "gates": [{"kind", "target", "controls"[, "angle"]}]}``.
+    """
+    entries = _statements(circuit.gates, _json_entry, 17, False)
+    envelope = json.dumps({"version": JSON_IR_VERSION, "n": circuit.n, "gates": []})
+    # the envelope ends in the empty gate list "[]}"
+    return envelope[:-2] + ", ".join(entries) + envelope[-2:]
+
+
+def _json_entry(
+    kind: GateKind, target: int, controls: tuple[int, ...], angle: str
+) -> str:
+    entry = json.dumps({"kind": kind.value, "target": target, "controls": list(controls)})
+    if not angle:
+        return entry
+    # json.dumps writes a float as its repr, and the angle key comes last
+    return f'{entry[:-1]}, "angle": {angle}}}'
 
 
 def parse_json(text: str | bytes) -> Circuit:
@@ -139,39 +200,56 @@ def parse_json(text: str | bytes) -> Circuit:
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise CircuitFormatError('"gates" must be an array')
-    gates = []
-    for i, entry in enumerate(raw_gates):
-        gates.append(_parse_gate(entry, i))
+    wirings: dict = {}
+    gates = [_parse_gate(entry, i, wirings) for i, entry in enumerate(raw_gates)]
     try:
         return Circuit(n, tuple(gates))
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from None
 
 
-def _parse_gate(entry: object, index: int) -> Gate:
+def _parse_gate(entry: object, index: int, wirings: dict) -> Gate:
+    """One gate; ``wirings`` maps each valid wiring seen so far to its fields.
+
+    JSON's ``true`` equals ``1`` and hashes like it, so a wiring's lookup
+    key is formed only when its target and every control is exactly an
+    ``int`` and its kind a ``str``.  A hit is then the identical wiring,
+    already checked; a miss runs every check and stores the wiring.
+    """
     if not isinstance(entry, dict):
         raise CircuitFormatError(f"gate {index}: expected an object")
     kind_value = entry.get("kind")
-    try:
-        kind = GateKind(kind_value)
-    except ValueError:
-        raise CircuitFormatError(f"gate {index}: unknown kind {kind_value!r}") from None
     target = entry.get("target")
-    if not isinstance(target, int) or isinstance(target, bool):
-        raise CircuitFormatError(f"gate {index}: target must be an integer")
     controls = entry.get("controls", [])
-    if not isinstance(controls, list) or not all(
-        isinstance(q, int) and not isinstance(q, bool) for q in controls
-    ):
-        raise CircuitFormatError(f"gate {index}: controls must be integers")
+    exact = (
+        type(target) is int
+        and type(controls) is list
+        and all(type(q) is int for q in controls)
+    )
+    key = (kind_value, target, *controls) if exact and type(kind_value) is str else None
+    wiring = wirings.get(key)
+    if wiring is None:
+        # any of these fails whenever key is None, so None is never stored
+        try:
+            kind = GateKind(kind_value)
+        except ValueError:
+            raise CircuitFormatError(
+                f"gate {index}: unknown kind {kind_value!r}"
+            ) from None
+        if type(target) is not int:
+            raise CircuitFormatError(f"gate {index}: target must be an integer")
+        if not exact:
+            raise CircuitFormatError(f"gate {index}: controls must be integers")
+    else:
+        kind = wiring[0]
     angle = entry.get("angle")
-    if angle is not None and (
-        isinstance(angle, bool) or not isinstance(angle, (int, float))
-    ):
+    if angle is not None and type(angle) not in (int, float):
         raise CircuitFormatError(f"gate {index}: angle must be a number")
     if kind in ROTATION_KINDS and angle is None:
         raise CircuitFormatError(f"gate {index}: kind {kind.value!r} needs an angle")
     try:
-        return Gate(kind, target, tuple(controls), angle)
+        if wiring is None:
+            wiring = wirings[key] = (kind, target, check_wiring(kind, target, controls))
+        return trusted_gate(*wiring, check_angle(kind, angle))
     except ValueError as exc:
         raise CircuitFormatError(f"gate {index}: {exc}") from None

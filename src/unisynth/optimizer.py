@@ -50,7 +50,8 @@ def cancel_x_pairs(circuit: Circuit) -> Circuit:
         if gate.kind is GateKind.X:
             run.append(gate)
         else:
-            flush()
+            if run:
+                flush()
             out.append(gate)
     flush()
     if len(out) == len(circuit.gates):

@@ -10,8 +10,12 @@ physical row ``i ^ frame``.
   pair, logical rows ``dim-1-tbit`` and ``dim-1``.  The pair is found in O(1)
   and updated in place through row views: FCX swaps the two rows, Rz scales
   both and R1 scales one.
-- A gate with partial controls (as parsed circuits may hold) selects its
-  row pairs with one mask over the row indices.
+- A gate with partial controls (as parsed circuits may hold) updates its
+  row pairs in place through two views of the matrix reshaped to one axis
+  of length 2 per qubit: each control's axis is fixed at the physical bit
+  that reads logical 1 under the frame, the target's axis at the physical
+  bit of logical 0 (one view) or 1 (the other), and every other qubit's
+  axis is left whole.
 
 The result equals (``np.array_equal``) a row-by-row application of every
 gate's 2x2 block in logical order.  Moving the frame is a permutation with
@@ -71,6 +75,25 @@ def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
     np.multiply(block[1, 1], high, out=high)
 
 
+def _row_views(
+    qubit_axes: np.ndarray, target: int, controls: tuple[int, ...], frame: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basic-index views of a partial-control gate's target-bit-0 and -1 rows.
+
+    ``qubit_axes`` is the matrix as ``(2,) * n + (dim,)``, so axis
+    ``n - 1 - q`` runs over bit ``q`` of the physical row index.
+    """
+    n = qubit_axes.ndim - 1
+    index: list = [slice(None)] * n
+    for q in controls:
+        index[n - 1 - q] = 1 ^ ((frame >> q) & 1)
+    low_bit = (frame >> target) & 1
+    index[n - 1 - target] = low_bit
+    low = qubit_axes[tuple(index)]
+    index[n - 1 - target] = low_bit ^ 1
+    return low, qubit_axes[tuple(index)]
+
+
 def gate_matrix(gate: Gate, n: int) -> np.ndarray:
     """Full 2**n matrix of a single gate."""
     # the Circuit bounds-checks the gate's qubits against n
@@ -82,7 +105,7 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     dim = 1 << circuit.n
     full = circuit.n - 1
     m = np.eye(dim, dtype=np.complex128)
-    idx = np.arange(dim)
+    qubit_axes = m.reshape((2,) * circuit.n + (dim,))
     frame = 0
     for gate in circuit.gates:
         tbit = 1 << gate.target
@@ -94,14 +117,8 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
             s0 = (dim - 1 - tbit) ^ frame
             _apply_block(m[s0], m[s0 ^ tbit], gate)
         else:
-            cmask = sum(1 << q for q in controls)
-            s0 = idx[(idx & (cmask | tbit)) == cmask] ^ frame
-            s1 = s0 ^ tbit
-            low, high = m[s0], m[s1]
-            _apply_block(low, high, gate)
-            m[s0] = low
-            m[s1] = high
-    return m[idx ^ frame] if frame else m
+            _apply_block(*_row_views(qubit_axes, gate.target, controls, frame), gate)
+    return m[np.arange(dim) ^ frame] if frame else m
 
 
 def default_verification_tol(n: int) -> float:
@@ -130,8 +147,10 @@ def verify(
             must be finite and >= 0.
     """
     target = np.asarray(matrix, dtype=np.complex128)
-    dim = 1 << circuit.n
-    if target.shape != (dim, dim):
+    side = target.shape[0] if target.ndim == 2 else 0
+    # a parsed circuit's n may be huge: match it to the side's bit length
+    # before computing 2**n
+    if side.bit_length() - 1 != circuit.n or target.shape != (1 << circuit.n,) * 2:
         raise DimensionError(
             f"matrix shape {target.shape} does not match a {circuit.n}-qubit circuit"
         )

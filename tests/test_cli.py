@@ -163,6 +163,17 @@ def test_verify_dimension_mismatch_is_input_error(matrix_file, tmp_path, capsys)
     assert "does not match" in capsys.readouterr().err
 
 
+def test_verify_huge_qubit_count_is_input_error(matrix_file, tmp_path, capsys):
+    # 2**n is never formed: the qubit counts are compared first
+    path = matrix_file(haar_random_unitary(2, 5))
+    circuit_path = tmp_path / "huge.json"
+    circuit_path.write_text(
+        '{"version": 1, "n": 1000000000000, "gates": []}', encoding="utf-8"
+    )
+    assert main(["verify", "-i", path, "-c", str(circuit_path)]) == 2
+    assert "does not match a 1000000000000-qubit circuit" in capsys.readouterr().err
+
+
 def test_verify_malformed_circuit_is_input_error(matrix_file, tmp_path, capsys):
     path = matrix_file(np.eye(2))
     circuit_path = tmp_path / "c.json"

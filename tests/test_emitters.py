@@ -323,3 +323,69 @@ def test_parse_json_rejects_boolean_angle(token):
     )
     with pytest.raises(CircuitFormatError, match="angle must be a number"):
         parse_json(text)
+
+
+# A parsed document's wirings are checked once each; a later gate must not
+# slip past a check because its fields compare equal to an earlier valid one
+# (JSON's true == 1 == 1.0, with equal hashes).
+
+_VALID_FIRST = '{"kind": "fcry", "target": 0, "controls": [1], "angle": 0.5}'
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ('{"kind": "fcry", "target": 0, "controls": [true], "angle": 0.5}',
+         "gate 1: controls must be integers"),
+        ('{"kind": "fcry", "target": 0, "controls": [1.0], "angle": 0.5}',
+         "gate 1: controls must be integers"),
+        ('{"kind": "fcry", "target": 0, "controls": [1, 1], "angle": 0.5}',
+         "gate 1: duplicate control qubits: (1, 1)"),
+        ('{"kind": "fcry", "target": 0, "controls": [-1], "angle": 0.5}',
+         "gate 1: control qubits must be nonnegative: (-1,)"),
+        ('{"kind": "fcry", "target": 1, "controls": [1], "angle": 0.5}',
+         "gate 1: target 1 appears in controls"),
+        ('{"kind": "x", "target": 0, "controls": [1]}',
+         "gate 1: kind 'x' takes no controls; use 'fcx'"),
+        ('{"kind": "fcry", "target": 0, "controls": [1], "angle": true}',
+         "gate 1: angle must be a number"),
+        ('{"kind": "fcry", "target": 0, "controls": [1]}',
+         "gate 1: kind 'fcry' needs an angle"),
+        ('{"kind": "fcry", "target": 0, "controls": [1], "angle": NaN}',
+         "gate 1: angle must be finite, got nan"),
+    ],
+)
+def test_parse_json_checks_each_gate_after_a_valid_equal_wiring(second, message):
+    text = f'{{"version": 1, "n": 2, "gates": [{_VALID_FIRST}, {second}]}}'
+    with pytest.raises(CircuitFormatError, match=f"^{re.escape(message)}$"):
+        parse_json(text)
+
+
+def test_parse_json_rejects_boolean_target_after_integer_target():
+    first = '{"kind": "fcx", "target": 1, "controls": [0]}'
+    second = '{"kind": "fcx", "target": true, "controls": [0]}'
+    text = f'{{"version": 1, "n": 2, "gates": [{first}, {second}]}}'
+    with pytest.raises(CircuitFormatError, match="^gate 1: target must be an integer$"):
+        parse_json(text)
+
+
+def test_parse_json_shares_nothing_between_documents():
+    valid = f'{{"version": 1, "n": 2, "gates": [{_VALID_FIRST}]}}'
+    parse_json(valid)
+    bad = valid.replace('"controls": [1]', '"controls": [true]')
+    with pytest.raises(CircuitFormatError, match="controls must be integers"):
+        parse_json(bad)
+
+
+def test_parse_json_sorts_controls_of_a_repeated_wiring():
+    gate = '{"kind": "fcx", "target": 0, "controls": [2, 1]}'
+    c = parse_json(f'{{"version": 1, "n": 3, "gates": [{gate}, {gate}]}}')
+    assert [g.controls for g in c.gates] == [(1, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_json_round_trip_on_random_circuits(n):
+    rng = np.random.default_rng(900 + n)
+    for length in (0, 1, 300):
+        c = random_circuit(rng, n, length)
+        assert parse_json(emit_json(c)) == c

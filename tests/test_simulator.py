@@ -219,6 +219,28 @@ def test_matches_masked_reference_under_a_nonzero_frame():
     assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
 
 
+def test_matches_masked_reference_at_seven_qubits_for_every_control_count():
+    # partial-control gates of each control count 0..6 on every target,
+    # each after X gates leave a different nonzero frame
+    n = 7
+    rng = np.random.default_rng(77)
+    kinds = (GateKind.FCRY, GateKind.FCRZ, GateKind.FCR1, GateKind.FCX)
+    gates = []
+    for k in range(n):
+        for target in range(n):
+            for q in range(n):
+                if rng.random() < 0.5:
+                    gates.append(_x(q))
+            others = [q for q in range(n) if q != target]
+            controls = tuple(int(q) for q in rng.choice(others, size=k, replace=False))
+            kind = kinds[(k + target) % len(kinds)]
+            angle = None if kind is GateKind.FCX else float(rng.uniform(-6.0, 6.0))
+            gates.append(Gate(kind, target, controls, angle))
+    c = Circuit(n, tuple(gates))
+    assert {len(g.controls) for g in c.gates if g.kind is not GateKind.X} == set(range(n))
+    assert np.array_equal(circuit_matrix(c), masked_circuit_matrix(c))
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
 def test_x_only_single_qubit_circuits(count):
     c = Circuit(1, (_x(0),) * count)
