@@ -322,18 +322,18 @@ def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
     # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves at 0
     before = wiring.wraps[element.s2]
     entries = element.block.ravel().tolist()
-    if entries == [0, 1, 1, 0]:
+    if entries == [0, 1, 1, 0]:  # exactly the X block
         return [*before, wiring.swaps[r], *reversed(before)]
     phi, theta, lam, mu = _zyz_angles(*entries)
     controls = wiring.controls[r]
     gates = list(before)
-    for kind, angle, period in (
-        (GateKind.FCRZ, lam - mu, FOUR_PI),
-        (GateKind.FCRY, 2.0 * theta, FOUR_PI),
-        (GateKind.FCRZ, lam + mu, FOUR_PI),
-        (GateKind.FCR1, phi, TWO_PI),
+    for kind, angle in (
+        (GateKind.FCRZ, lam - mu),
+        (GateKind.FCRY, 2.0 * theta),
+        (GateKind.FCRZ, lam + mu),
+        (GateKind.FCR1, phi),
     ):
-        angle = normalize_angle(angle, period)
+        angle = normalize_angle(angle, _angle_period(kind))
         if abs(angle) > IDENTITY_ANGLE_TOL:
             gates.append(trusted_gate(kind, r, controls, angle))
     gates.extend(reversed(before))

@@ -168,7 +168,8 @@ def emit_json(circuit: Circuit) -> str:
 def _json_entry(
     kind: GateKind, target: int, controls: tuple[int, ...], angle: str
 ) -> str:
-    entry = json.dumps({"kind": kind.value, "target": target, "controls": list(controls)})
+    fields = {"kind": kind.value, "target": target, "controls": list(controls)}
+    entry = json.dumps(fields)
     if not angle:
         return entry
     # json.dumps writes a float as its repr, and the angle key comes last
@@ -226,7 +227,9 @@ def _parse_gate(entry: object, index: int, wirings: dict) -> Gate:
         and type(controls) is list
         and all(type(q) is int for q in controls)
     )
-    key = (kind_value, target, *controls) if exact and type(kind_value) is str else None
+    key = None
+    if exact and type(kind_value) is str:
+        key = (kind_value, target, *controls)
     wiring = wirings.get(key)
     if wiring is None:
         # any of these fails whenever key is None, so None is never stored
