@@ -14,6 +14,15 @@ another linear-algebra build may round differently.
 per-wiring fragments.  Unlike compiler output, these hold plain and
 fully-controlled X, partial, single and empty controls, and rotations at
 zero or full-period angles.  Their digests depend on no linear algebra.
+
+``BLOCK_GOLDEN`` and ``SIMULATED_GOLDEN`` pin raw float64 bytes, recorded
+before elimination and simulation computed their 2x2 entries as Python
+scalars: every ``two_level_decompose`` block with its state pair (the golden
+inputs above, a 5-qubit permutation for the swap branch and out-of-order Gray
+pairs, and a near-diagonal 5-qubit unitary with off-diagonal entries of 9e-11
+and 2e-10 around ``ZERO_THRESHOLD``), and ``circuit_matrix`` of
+``random_circuit`` soups and of a compiled circuit.  Unlike the text or
+``np.array_equal``, bytes tell ``0.0`` from ``-0.0``.
 """
 
 import hashlib
@@ -23,11 +32,13 @@ import pytest
 from conftest import random_circuit
 
 from unisynth import (
+    circuit_matrix,
     emit_json,
     emit_qasm3,
     emit_qsharp,
     haar_random_unitary,
     matrix_to_circuit,
+    two_level_decompose,
 )
 
 # name -> sha256 of (emit_json, emit_qasm3, emit_qsharp)
@@ -163,3 +174,91 @@ def test_random_circuit_text_at_reduced_precision_matches_golden_digest():
         "f176b3b7b252cf0493423dca11de32d2006576a72fd9320c2ba8c9eeeded0d36",
         "245296151d19cd4cf72a6272606c712392b685c58aba6356cb5ab4ab7f32fba0",
     )
+
+
+def _permutation_n5() -> np.ndarray:
+    perm = np.random.default_rng(2026).permutation(32)
+    return np.eye(32, dtype=np.complex128)[perm]
+
+
+def _near_diagonal_n5() -> np.ndarray:
+    # diagonal phases mixed by rotations of 9e-11 (at most ZERO_THRESHOLD:
+    # skipped) and 2e-10 (eliminated) on a few index pairs
+    rng = np.random.default_rng(2027)
+    u = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 32)))
+    pairs = [(0, 5), (3, 17), (8, 9), (12, 30), (20, 21), (1, 31), (6, 7), (14, 15)]
+    for k, (i, j) in enumerate(pairs):
+        eps = 9e-11 if k % 2 == 0 else 2e-10
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        g = np.eye(32, dtype=np.complex128)
+        g[i, i] = g[j, j] = np.cos(eps)
+        g[i, j] = np.sin(eps) * phase
+        g[j, i] = -np.sin(eps) * np.conj(phase)
+        u = g @ u
+    return u
+
+
+BLOCK_INPUTS = {
+    **INPUTS,
+    "permutation_n5": _permutation_n5(),
+    "near_diagonal_n5": _near_diagonal_n5(),
+}
+
+# name -> sha256 over every two_level_decompose block of (s1, s2, block bytes)
+BLOCK_GOLDEN = {
+    "block_diagonal_n4": "127f83cbf837ea9482de2e09028177d6eeaa8f08510f2df2c06fdc8d150d23ab",
+    "controlled_u_n4": "6941f7213e9374838d19ac071c8a78ad2dd6345e583797ea5f5a120a5354a647",
+    "diagonal_phase_n4": "59277d5be08f5b086b4ac793ae6ee4ef76f1d58ab64ab86af61ca88357c63657",
+    "haar_n1_seed42": "90dbb27da8fd03a912667d7e51a54a2091d7907c4577c4018142feaacaaf7031",
+    "haar_n2_seed42": "de2286a94da6f72e28f7d1494569eb719acd72c30a4f00c35e6e5344abc4dee0",
+    "haar_n3_seed42": "a8e17c3284c0ed971926da7c48823b447c6f54ae555f87fc5bbd9eea3ec085f3",
+    "haar_n4_seed42": "4ca48d917d06d6d86531b02fea253f52ded83b55f47975643c30fcbc2682c135",
+    "haar_n5_seed42": "724f7ea20f2debaed202fc1760685b5002a6798c69c7c699eef3f29f722c948a",
+    "haar_n6_seed42": "88f4cac53854ca289d08eb9701a633b061c918218d5cf5eb19efd5daca101e1e",
+    "near_diagonal_n5": "95e67f2578392daa52befffe3aacd348bb2e5d4dcad06f6ee1ba5c9b8ac5fb84",
+    "permutation_n5": "4966e5b34c91b2fd9e368bc0c591896e3445176426096c37ce73a657316937c4",
+}
+
+
+def _block_digest(matrix: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for element in two_level_decompose(matrix):
+        h.update(f"{element.s1},{element.s2};".encode())
+        h.update(element.block.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GOLDEN))
+def test_two_level_blocks_match_golden_digest(name):
+    # block bytes keep the sign of every zero, which the emitted text drops
+    assert _block_digest(BLOCK_INPUTS[name]) == BLOCK_GOLDEN[name]
+
+
+def _simulated_inputs():
+    inputs = {
+        f"random_n{n}": random_circuit(np.random.default_rng(7100 + n), n, 200)
+        for n in range(1, 7)
+    }
+    inputs["compiled_haar_n5"] = matrix_to_circuit(haar_random_unitary(5, 42))
+    return inputs
+
+
+SIMULATED = _simulated_inputs()
+
+# name -> sha256 of circuit_matrix(circuit).tobytes()
+SIMULATED_GOLDEN = {
+    "compiled_haar_n5": "e25573ca2e256d70048490bb9d0560442c039797cc2be7d85eb6e41ed4c75949",
+    "random_n1": "1e7cc8935ccae84f819956baa4d8b2dee371f7c883a46ca4826801a321ea76d9",
+    "random_n2": "9db948ab17a767b20dff49fd343e44820660a26d703b1367df627ee403ede878",
+    "random_n3": "28ca858fef1139ceb4d5d92fc5cdff62a8bb817d0c41f1ba1489a2eddcff5ea4",
+    "random_n4": "0ede70dc18b7ac64e30b426a583488f2353b978e9136ae4781e90da52870a62d",
+    "random_n5": "bd4ebfe1d8693f626d01c15e15c99ee2e40e929ce4632bd462051947084e52f1",
+    "random_n6": "723beeb9fd8b54b9a28ef745e303ff24ca89e3c99094b2240e56270035b2f925",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATED_GOLDEN))
+def test_simulated_matrix_bytes_match_golden_digest(name):
+    # np.array_equal against the masked oracle ignores the sign of zero
+    got = circuit_matrix(SIMULATED[name]).tobytes()
+    assert hashlib.sha256(got).hexdigest() == SIMULATED_GOLDEN[name]
