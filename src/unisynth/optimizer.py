@@ -15,48 +15,47 @@ would change nothing: ``optimize`` is idempotent.
 
 from __future__ import annotations
 
-from .circuit import IDENTITY_ANGLE_TOL, Circuit, Gate, GateKind, ROTATION_KINDS
-
-
-def _is_identity_rotation(gate: Gate) -> bool:
-    return gate.kind in ROTATION_KINDS and abs(gate.angle) <= IDENTITY_ANGLE_TOL
+from .circuit import IDENTITY_ANGLE_TOL, Circuit, Gate, GateKind
 
 
 def drop_identity_gates(circuit: Circuit) -> Circuit:
     """Remove rotations that act as the identity after angle normalization."""
-    kept = tuple(g for g in circuit.gates if not _is_identity_rotation(g))
+    # only rotations carry an angle (X and FCX hold None)
+    kept = [
+        gate
+        for gate in circuit.gates
+        if gate.angle is None or abs(gate.angle) > IDENTITY_ANGLE_TOL
+    ]
     if len(kept) == len(circuit.gates):
         return circuit
-    return Circuit(circuit.n, kept)
+    return Circuit(circuit.n, tuple(kept))
 
 
 def cancel_x_pairs(circuit: Circuit) -> Circuit:
     """Cancel same-qubit X pairs inside maximal runs of consecutive X gates."""
-    out: list[Gate] = []
-    run: list[Gate] = []
-
-    def flush() -> None:
-        parity: dict[int, int] = {}
-        for gate in run:
-            parity[gate.target] = parity.get(gate.target, 0) ^ 1
-        emitted: set[int] = set()
-        for gate in run:
-            if parity[gate.target] and gate.target not in emitted:
-                emitted.add(gate.target)
-                out.append(gate)
-        run.clear()
-
+    x_kind = GateKind.X
+    out: list[Gate | None] = []
+    # For each qubit with an X in the current run: the slot in ``out`` of
+    # the run's first X on it, and that gate.  The slot holds the gate while
+    # the qubit has seen an odd number of Xs in the run, and None otherwise.
+    run: dict[int, tuple[int, Gate]] = {}
     for gate in circuit.gates:
-        if gate.kind is GateKind.X:
-            run.append(gate)
+        if gate.kind is x_kind:
+            seen = run.get(gate.target)
+            if seen is None:
+                run[gate.target] = (len(out), gate)
+                out.append(gate)
+            else:
+                slot, first = seen
+                out[slot] = None if out[slot] is not None else first
         else:
             if run:
-                flush()
+                run.clear()
             out.append(gate)
-    flush()
-    if len(out) == len(circuit.gates):
+    kept = [gate for gate in out if gate is not None]
+    if len(kept) == len(circuit.gates):
         return circuit
-    return Circuit(circuit.n, tuple(out))
+    return Circuit(circuit.n, tuple(kept))
 
 
 def optimize(circuit: Circuit) -> Circuit:

@@ -22,11 +22,15 @@ gate's 2x2 block in logical order.  Moving the frame is a permutation with
 no arithmetic.  Each updated row goes through the same scalar-first products
 and sums as the full 2x2 update.  The zero products of diagonal blocks and
 the product by R1's exact 1 are skipped, which is exact because adding a
-zero or multiplying by one does not change a value.
+zero or multiplying by one does not change a value.  The coefficients are
+Python scalars computed from the angle as ``gate_block`` computes its
+entries; no 2x2 array is built per gate.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,27 +56,37 @@ def gate_block(gate: Gate) -> np.ndarray:
 def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
     """Apply a gate's 2x2 block in place to its target-bit-0 and -1 rows.
 
-    Scalars multiply first (``b * row``, never ``row * b``): numpy's complex
-    multiply may round the two orders differently in the last bit.
+    The coefficients are Python scalars computed from the angle with the
+    same expressions as ``ry_matrix``, ``rz_matrix`` and ``r1_matrix``; numpy
+    turns a float into a complex with a +0 imaginary part, as those arrays
+    hold it.  Scalars multiply first (``b * row``, never ``row * b``):
+    numpy's complex multiply may round the two orders differently in the
+    last bit.
     """
-    if gate.kind in _SWAP_KINDS:
+    kind = gate.kind
+    if kind is GateKind.FCRY:
+        half = gate.angle / 2.0
+        cos_h = math.cos(half)
+        sin_h = math.sin(half)
+        new_low = cos_h * low
+        new_low += sin_h * high
+        # b11*high + b10*low: the operands of the sum swap, which is exact
+        np.multiply(cos_h, high, out=high)
+        high += -sin_h * low
+        low[...] = new_low
+    elif kind is GateKind.FCRZ:
+        # diagonal: one product per row
+        half = gate.angle / 2.0
+        np.multiply(cmath.exp(1j * half), low, out=low)
+        np.multiply(cmath.exp(-1j * half), high, out=high)
+    elif kind is GateKind.FCR1:
+        # diagonal, and the upper entry is exactly 1
+        np.multiply(cmath.exp(1j * gate.angle), high, out=high)
+    else:
+        # X and FCX swap the rows
         saved = low.copy()
         low[...] = high
         high[...] = saved
-        return
-    block = gate_block(gate)
-    if gate.kind is GateKind.FCRY:
-        new_low = block[0, 0] * low
-        new_low += block[0, 1] * high
-        # b11*high + b10*low: the operands of the sum swap, which is exact
-        np.multiply(block[1, 1], high, out=high)
-        high += block[1, 0] * low
-        low[...] = new_low
-        return
-    # Rz and R1 are diagonal, and R1's upper entry is exactly 1
-    if gate.kind is GateKind.FCRZ:
-        np.multiply(block[0, 0], low, out=low)
-    np.multiply(block[1, 1], high, out=high)
 
 
 def _row_views(

@@ -12,6 +12,15 @@ their embeddings last-to-first (``reconstruct_matrix``) reproduces the input.
 It validates its input once; the blocks it builds are unitary by formula
 (or, for the trailing corner, up to the validated input's residual) and skip
 the public ``TwoLevelUnitary`` unitarity check.
+
+Per block, the work is scalar: entries are read with ``ndarray.item``, the
+four block entries come from ``_eliminate`` as Python complex numbers (the
+same core ``eliminate_entry`` wraps), and the emitted conjugate-transposed,
+possibly X-conjugated block is assembled from them.  numpy runs once per row
+(skipping the row's trailing near-zero entries) and once per block for the
+column update, which stays a BLAS matmul: an elementwise update rounds
+differently.  The blocks are the bytes the matmul formulation gives, signs
+of zero included.
 """
 
 from __future__ import annotations
@@ -37,6 +46,10 @@ _PHASE_TOL = 1e-12
 _FINAL_IDENTITY_TOL = 1e-10
 
 X_BLOCK = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+
+# the identity and X blocks' entries, as np.eye and X_BLOCK hold them
+_ONE = complex(1.0, 0.0)
+_ZERO = complex(0.0, 0.0)
 
 
 def gray_code(index: int) -> int:
@@ -71,6 +84,31 @@ def gray_conjugate(matrix: np.ndarray, direction: str = "forward") -> np.ndarray
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
+def _eliminate(
+    a: complex, b: complex, zero_threshold: float
+) -> tuple[complex, complex, complex, complex, complex]:
+    """Scalar core of ``eliminate_entry``: the block's four entries and ``c``."""
+    abs_a = abs(a)
+    abs_b = abs(b)
+    if abs_b <= zero_threshold:
+        return _ONE, _ZERO, _ZERO, _ONE, a
+    if abs_a <= zero_threshold:
+        return _ZERO, _ONE, _ONE, _ZERO, b
+    theta = math.atan2(abs_b, abs_a)
+    lam = -cmath.phase(a)
+    mu = math.pi + cmath.phase(b)
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    c = cos_t * (abs_a + abs_b**2 / abs_a)
+    return (
+        cos_t * cmath.exp(1j * lam),
+        sin_t * cmath.exp(1j * mu),
+        -sin_t * cmath.exp(-1j * mu),
+        cos_t * cmath.exp(-1j * lam),
+        complex(c),
+    )
+
+
 def eliminate_entry(
     a: complex, b: complex, zero_threshold: float = ZERO_THRESHOLD
 ) -> tuple[np.ndarray, complex]:
@@ -86,26 +124,8 @@ def eliminate_entry(
     Returns:
         ``(block, c)``.
     """
-    a = complex(a)
-    b = complex(b)
-    if abs(b) <= zero_threshold:
-        return np.eye(2, dtype=np.complex128), a
-    if abs(a) <= zero_threshold:
-        return X_BLOCK.copy(), b
-    theta = math.atan2(abs(b), abs(a))
-    lam = -cmath.phase(a)
-    mu = math.pi + cmath.phase(b)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    block = np.array(
-        [
-            [cos_t * cmath.exp(1j * lam), sin_t * cmath.exp(1j * mu)],
-            [-sin_t * cmath.exp(-1j * mu), cos_t * cmath.exp(-1j * lam)],
-        ],
-        dtype=np.complex128,
-    )
-    c = cos_t * (abs(a) + abs(b) ** 2 / abs(a))
-    return block, complex(c)
+    b00, b01, b10, b11, c = _eliminate(complex(a), complex(b), zero_threshold)
+    return np.array([[b00, b01], [b10, b11]], dtype=np.complex128), c
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,33 +192,73 @@ def two_level_decompose(
     work = validate_unitary(matrix, tol)
     dim = work.shape[0]
     n = num_qubits(dim)
-    pi = gray_permutation(n)
+    pi = gray_permutation(n).tolist()
     work = gray_conjugate(work, "forward")
     out: list[TwoLevelUnitary] = []
+    trusted = TwoLevelUnitary._trusted
+    # one buffer holds each elimination block while it updates the columns
+    rotation = np.empty((2, 2), dtype=np.complex128)
 
-    def emit(lo: int, hi: int, block: np.ndarray) -> None:
+    def emit_array(lo: int, hi: int, block: np.ndarray) -> None:
         # Gray-frame columns (lo, hi) hold original states (pi_lo, pi_hi);
         # when those are out of order the block's basis must be swapped too.
-        s1 = int(pi[lo])
-        s2 = int(pi[hi])
+        s1 = pi[lo]
+        s2 = pi[hi]
         if s1 > s2:
             s1, s2 = s2, s1
             block = X_BLOCK @ block @ X_BLOCK
         # a C-ordered block of its own, as TwoLevelUnitary's copy gives; the
         # conjugate-transpose view would keep its base array alive as well
-        out.append(TwoLevelUnitary._trusted(s1, s2, np.ascontiguousarray(block)))
-
-    def apply(row: int, hi: int, block: np.ndarray) -> None:
-        # rows above ``row`` are finished and never read again
-        work[row:, hi - 1 : hi + 1] = work[row:, hi - 1 : hi + 1] @ block
+        out.append(trusted(s1, s2, np.ascontiguousarray(block)))
 
     for row in range(dim - 2):
-        for col in range(dim - 1, row, -1):
-            if abs(work[row, col]) <= ZERO_THRESHOLD:
+        # A block on columns (col-1, col) changes only the entry left of col
+        # in this row, so the trailing run of entries at or below the
+        # threshold is skipped whole.  np.abs may round differently from
+        # abs() in the last bit: the vectorized test uses half the threshold
+        # and leaves the entries in between to the exact test below.
+        live = np.flatnonzero(np.abs(work[row, row + 1 :]) > 0.5 * ZERO_THRESHOLD)
+        last = row + 1 + int(live[-1]) if live.size else row
+        for col in range(last, row, -1):
+            b = work.item(row, col)
+            if abs(b) <= ZERO_THRESHOLD:
                 continue
-            block, _ = eliminate_entry(work[row, col - 1], work[row, col])
-            apply(row, col, block)
-            emit(col - 1, col, block.conj().T)
+            b00, b01, b10, b11, _ = _eliminate(
+                work.item(row, col - 1), b, ZERO_THRESHOLD
+            )
+            rotation[0, 0] = b00
+            rotation[0, 1] = b01
+            rotation[1, 0] = b10
+            rotation[1, 1] = b11
+            # rows above ``row`` are finished and never read again
+            work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
+            # The emitted block is the conjugate transpose (complex.conjugate
+            # flips the imaginary sign bit as numpy's conj does).  For an
+            # out-of-order pair, X_BLOCK @ E @ X_BLOCK swaps E's rows and
+            # columns; every product in it is by an exact 0 or 1, so scalar
+            # swapping gives the same bits unless a part is zero, whose sign
+            # the BLAS kernel decides (a zero product sends that rare block
+            # through the matmuls, as does an underflowing one, harmlessly).
+            s1 = pi[col - 1]
+            s2 = pi[col]
+            if s1 < s2:
+                entries = [
+                    [b00.conjugate(), b10.conjugate()],
+                    [b01.conjugate(), b11.conjugate()],
+                ]
+            elif (
+                b00.real * b00.imag * b01.real * b01.imag
+                * b10.real * b10.imag * b11.real * b11.imag
+            ):
+                s1, s2 = s2, s1
+                entries = [
+                    [b11.conjugate(), b01.conjugate()],
+                    [b10.conjugate(), b00.conjugate()],
+                ]
+            else:
+                emit_array(col - 1, col, rotation.conj().T)
+                continue
+            out.append(trusted(s1, s2, np.array(entries, dtype=np.complex128)))
         diag = work[row, row]
         if abs(diag - 1.0) > _PHASE_TOL:
             # Zero entries along the row can leave a unit-modulus phase on
@@ -208,11 +268,11 @@ def two_level_decompose(
             block = np.array(
                 [[phase.conjugate(), 0.0], [0.0, phase]], dtype=np.complex128
             )
-            apply(row, row + 1, block)
-            emit(row, row + 1, block.conj().T)
+            work[row:, row : row + 2] = work[row:, row : row + 2] @ block
+            emit_array(row, row + 1, block.conj().T)
     final = np.array(work[dim - 2 :, dim - 2 :])
     if np.linalg.norm(final - np.eye(2)) > _FINAL_IDENTITY_TOL:
-        emit(dim - 2, dim - 1, final)
+        emit_array(dim - 2, dim - 1, final)
     return out
 
 

@@ -127,3 +127,60 @@ def test_optimize_preserves_pipeline_matrix():
 def test_passes_return_same_object_when_nothing_changes(pass_fn):
     c = Circuit(2, (Gate(GateKind.FCRY, 0, (1,), 1.0),))
     assert pass_fn(c) is c
+
+
+def _reference_cancel(gates):
+    # the rule stated plainly: per maximal X run, the first X of each qubit
+    # with odd parity, in first-position order
+    out, run = [], []
+    for gate in (*gates, None):
+        if gate is not None and gate.kind is GateKind.X:
+            run.append(gate)
+            continue
+        parity = {}
+        for x in run:
+            parity[x.target] = parity.get(x.target, 0) ^ 1
+        for x in run:
+            if parity.pop(x.target, 0):
+                out.append(x)
+        run = []
+        if gate is not None:
+            out.append(gate)
+    return out
+
+
+def test_parity_back_to_odd_keeps_the_first_gate_object_and_position():
+    first, again, third = _x(0), _x(0), _x(0)
+    c = Circuit(2, (first, _x(1), again, third, Gate(GateKind.FCX, 1, (0,))))
+    out = cancel_x_pairs(c).gates
+    assert out == (_x(0), _x(1), Gate(GateKind.FCX, 1, (0,)))
+    assert out[0] is first
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cancel_matches_the_plain_rule_gate_for_gate(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        c = random_circuit(rng, n, int(rng.integers(0, 120)))
+        # a gate soup has few X runs: splice in runs of fresh X objects
+        gates = list(c.gates)
+        for _ in range(int(rng.integers(0, 8))):
+            at = int(rng.integers(len(gates) + 1))
+            run = [_x(int(q)) for q in rng.integers(n, size=int(rng.integers(1, 7)))]
+            gates[at:at] = run
+        c = Circuit(n, tuple(gates))
+        want = _reference_cancel(c.gates)
+        got = cancel_x_pairs(c).gates
+        assert [id(g) for g in got] == [id(g) for g in want]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_drop_keeps_exactly_the_non_identity_gates(n):
+    c = random_circuit(np.random.default_rng(400 + n), n, 200)
+    want = [
+        g
+        for g in c.gates
+        if not (g.kind in (GateKind.FCRY, GateKind.FCRZ, GateKind.FCR1)
+                and abs(g.angle) <= 1e-12)
+    ]
+    assert [id(g) for g in drop_identity_gates(c).gates] == [id(g) for g in want]
