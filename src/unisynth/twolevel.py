@@ -13,14 +13,11 @@ It validates its input once; the blocks it builds are unitary by formula
 (or, for the trailing corner, up to the validated input's residual) and skip
 the public ``TwoLevelUnitary`` unitarity check.
 
-Per block, the work is scalar: entries are read with ``ndarray.item``, the
-four block entries come from ``_eliminate`` as Python complex numbers (the
-same core ``eliminate_entry`` wraps), and the emitted conjugate-transposed,
-possibly X-conjugated block is assembled from them.  numpy runs once per row
-(skipping the row's trailing near-zero entries) and once per block for the
-column update, which stays a BLAS matmul: an elementwise update rounds
-differently.  The blocks are the bytes the matmul formulation gives, signs
-of zero included.
+Each block's entries are Python complex numbers from one scalar core
+(``_eliminate``, also behind ``eliminate_entry``), and the emitted block is
+built from them.  numpy runs once per row, to skip the row's trailing
+near-zero entries, and once per block, for the column update: a BLAS matmul,
+since an elementwise update rounds differently.
 """
 
 from __future__ import annotations
@@ -232,29 +229,27 @@ def two_level_decompose(
             rotation[1, 1] = b11
             # rows above ``row`` are finished and never read again
             work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
-            # The emitted block is the conjugate transpose (complex.conjugate
-            # flips the imaginary sign bit as numpy's conj does).  For an
+            # Emit the conjugate transpose (complex.conjugate flips the sign
+            # bit of the imaginary part, as numpy's conj does).  For an
             # out-of-order pair, X_BLOCK @ E @ X_BLOCK swaps E's rows and
-            # columns; every product in it is by an exact 0 or 1, so scalar
-            # swapping gives the same bits unless a part is zero, whose sign
-            # the BLAS kernel decides (a zero product sends that rare block
-            # through the matmuls, as does an underflowing one, harmlessly).
+            # columns.  Its products are by an exact 0 or 1, so swapping the
+            # scalars gives the same bits, except for the sign of a zero
+            # part, which the BLAS kernel decides: a block with a zero part
+            # (or an underflowing product) goes through the matmuls.
+            e00 = b00.conjugate()
+            e01 = b10.conjugate()
+            e10 = b01.conjugate()
+            e11 = b11.conjugate()
             s1 = pi[col - 1]
             s2 = pi[col]
             if s1 < s2:
-                entries = [
-                    [b00.conjugate(), b10.conjugate()],
-                    [b01.conjugate(), b11.conjugate()],
-                ]
+                entries = [[e00, e01], [e10, e11]]
             elif (
-                b00.real * b00.imag * b01.real * b01.imag
-                * b10.real * b10.imag * b11.real * b11.imag
+                e00.real * e00.imag * e01.real * e01.imag
+                * e10.real * e10.imag * e11.real * e11.imag
             ):
                 s1, s2 = s2, s1
-                entries = [
-                    [b11.conjugate(), b01.conjugate()],
-                    [b10.conjugate(), b00.conjugate()],
-                ]
+                entries = [[e11, e10], [e01, e00]]
             else:
                 emit_array(col - 1, col, rotation.conj().T)
                 continue
