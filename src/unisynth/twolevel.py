@@ -196,7 +196,7 @@ def two_level_decompose(
     # one buffer holds each elimination block while it updates the columns
     rotation = np.empty((2, 2), dtype=np.complex128)
 
-    def emit_array(lo: int, hi: int, block: np.ndarray) -> None:
+    def emit(lo: int, hi: int, block: np.ndarray) -> None:
         # Gray-frame columns (lo, hi) hold original states (pi_lo, pi_hi);
         # when those are out of order the block's basis must be swapped too.
         s1 = pi[lo]
@@ -207,6 +207,10 @@ def two_level_decompose(
         # a C-ordered block of its own, as TwoLevelUnitary's copy gives; the
         # conjugate-transpose view would keep its base array alive as well
         out.append(trusted(s1, s2, np.ascontiguousarray(block)))
+
+    def apply(row: int, hi: int, block: np.ndarray) -> None:
+        # rows above ``row`` are finished and never read again
+        work[row:, hi - 1 : hi + 1] = work[row:, hi - 1 : hi + 1] @ block
 
     for row in range(dim - 2):
         # A block on columns (col-1, col) changes only the entry left of col
@@ -227,8 +231,7 @@ def two_level_decompose(
             rotation[0, 1] = b01
             rotation[1, 0] = b10
             rotation[1, 1] = b11
-            # rows above ``row`` are finished and never read again
-            work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
+            apply(row, col, rotation)
             # Emit the conjugate transpose (complex.conjugate flips the sign
             # bit of the imaginary part, as numpy's conj does).  For an
             # out-of-order pair, X_BLOCK @ E @ X_BLOCK swaps E's rows and
@@ -251,7 +254,7 @@ def two_level_decompose(
                 s1, s2 = s2, s1
                 entries = [[e11, e10], [e01, e00]]
             else:
-                emit_array(col - 1, col, rotation.conj().T)
+                emit(col - 1, col, rotation.conj().T)
                 continue
             out.append(trusted(s1, s2, np.array(entries, dtype=np.complex128)))
         diag = work[row, row]
@@ -263,11 +266,11 @@ def two_level_decompose(
             block = np.array(
                 [[phase.conjugate(), 0.0], [0.0, phase]], dtype=np.complex128
             )
-            work[row:, row : row + 2] = work[row:, row : row + 2] @ block
-            emit_array(row, row + 1, block.conj().T)
+            apply(row, row + 1, block)
+            emit(row, row + 1, block.conj().T)
     final = np.array(work[dim - 2 :, dim - 2 :])
     if np.linalg.norm(final - np.eye(2)) > _FINAL_IDENTITY_TOL:
-        emit_array(dim - 2, dim - 1, final)
+        emit(dim - 2, dim - 1, final)
     return out
 
 
