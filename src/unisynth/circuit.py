@@ -14,13 +14,14 @@ and R1 to (-pi, pi] (periodic modulo 2*pi).
 A two-level unitary on states (s1, s2) differing in bit r becomes a rotation
 chain targeting qubit r, controlled on every other qubit, wrapped in X gates
 on the qubits where s1 has a 0 bit so the controls all test for 1.
-
-``census`` tallies a circuit's gates by kind.
+``matrix_to_circuit`` builds each chain from the angles elimination computed
+(``two_level_angles``), forming no 2x2 block; ``two_level_to_gates`` reads a
+block's angles and shares the chain builder.  ``census`` tallies gates.
 
 Synthesis shares one X gate per qubit and one control tuple per target
-(``Gate`` is frozen), reads each block once as Python scalars, and builds
-rotation gates through ``trusted_gate`` without re-running ``Gate``'s
-checks, whose invariants its fields hold by construction.
+(``Gate`` is frozen) and builds rotation gates through ``trusted_gate``
+without re-running ``Gate``'s checks, whose invariants its fields hold by
+construction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .matrix import DimensionError, UnitarityError, is_unitary, num_qubits
-from .twolevel import TwoLevelUnitary, two_level_decompose
+from .twolevel import TwoLevelUnitary, _zyz_angles, angles_block, two_level_angles
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -62,10 +63,6 @@ def normalize_angle(angle: float, period: float) -> float:
     if reduced == -period / 2.0:
         reduced = period / 2.0
     return reduced
-
-
-def _angle_period(kind: GateKind) -> float:
-    return TWO_PI if kind is GateKind.FCR1 else FOUR_PI
 
 
 def check_wiring(
@@ -101,7 +98,7 @@ def check_angle(kind: GateKind, angle: float | None) -> float | None:
             raise ValueError("angle is too large for a float") from None
         if not math.isfinite(angle):
             raise ValueError(f"angle must be finite, got {angle}")
-        return normalize_angle(angle, _angle_period(kind))
+        return normalize_angle(angle, TWO_PI if kind is GateKind.FCR1 else FOUR_PI)
     if angle is not None:
         raise ValueError(f"kind {kind.value!r} takes no angle")
     return None
@@ -252,33 +249,21 @@ def zyz_decompose(matrix: np.ndarray) -> ZYZAngles:
     """Factor a 2x2 unitary into the R1/Rz/Ry/Rz angle tuple.
 
     phi is the determinant phase; the remaining angles come from the special
-    unitary R1(-phi) @ U.  Zero entries yield zero phase angles, so diagonal
-    and antidiagonal inputs produce canonical forms.
+    unitary R1(-phi) @ U, with ``theta = atan2(|u01|, |u00|)`` in
+    ``[0, pi/2]``.  Zero entries yield zero phase angles, so diagonal and
+    antidiagonal inputs produce canonical forms.
     """
     u = np.asarray(matrix, dtype=np.complex128)
     if u.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not is_unitary(u, 1e-10):
         raise UnitarityError("zyz_decompose requires a unitary matrix")
-    return _zyz_angles(*u.ravel().tolist())
-
-
-def _zyz_angles(u00: complex, u01: complex, u10: complex, u11: complex) -> ZYZAngles:
-    # unchecked core of zyz_decompose on the entries as Python scalars;
-    # R1(-phi) scales only row 1 of U, so the angles read row 0 of U itself
-    phi = cmath.phase(u00 * u11 - u01 * u10)
-    theta = math.acos(min(1.0, abs(u00)))
-    return ZYZAngles(phi, theta, cmath.phase(u00), cmath.phase(u01))
+    return ZYZAngles(*_zyz_angles(*u.ravel().tolist()))
 
 
 def zyz_reconstruct(angles: ZYZAngles) -> np.ndarray:
     """Multiply the factorization back out (inverse of ``zyz_decompose``)."""
-    return (
-        r1_matrix(angles.phi)
-        @ rz_matrix(angles.lam + angles.mu)
-        @ ry_matrix(2.0 * angles.theta)
-        @ rz_matrix(angles.lam - angles.mu)
-    )
+    return angles_block(*angles)
 
 
 class _Wiring(NamedTuple):
@@ -304,6 +289,31 @@ def _wiring(n: int) -> _Wiring:
     )
 
 
+def _append_block(
+    gates: list[Gate], wiring: _Wiring, s1: int, s2: int, angles: tuple | None
+) -> None:
+    # one block's X-wrapped chain; ``angles`` None means exactly X
+    r = (s1 ^ s2).bit_length() - 1
+    # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves at 0
+    before = wiring.wraps[s2]
+    gates.extend(before)
+    if angles is None:
+        gates.append(wiring.swaps[r])
+    else:
+        phi, theta, lam, mu = angles
+        controls = wiring.controls[r]
+        for kind, angle, period in (
+            (GateKind.FCRZ, lam - mu, FOUR_PI),
+            (GateKind.FCRY, 2.0 * theta, FOUR_PI),
+            (GateKind.FCRZ, lam + mu, FOUR_PI),
+            (GateKind.FCR1, phi, TWO_PI),
+        ):
+            angle = normalize_angle(angle, period)
+            if abs(angle) > IDENTITY_ANGLE_TOL:
+                gates.append(trusted_gate(kind, r, controls, angle))
+    gates.extend(reversed(before))
+
+
 def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
     """Realize one two-level unitary as fully-controlled gates plus X wraps.
 
@@ -312,31 +322,18 @@ def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
     order) and after (descending order) so every control tests for 1.  A
     block that is exactly X becomes a single FCX (plain X when ``n == 1``);
     otherwise the chain is Rz, Ry, Rz, R1 with identity-angle links skipped.
-    The element's block is taken as unitary: ``TwoLevelUnitary`` checks it
-    unless it came from ``two_level_decompose``, which validated the input.
+    The angles are ``zyz_decompose``'s, but with ``theta <= 0`` where the
+    pair's states run opposite to its Gray indices (odd parity of ``s1``
+    above bit ``r``), as elimination emits them: a ``two_level_decompose``
+    block gives the gates ``matrix_to_circuit`` emits for it.
     """
     if element.s2 >= (1 << n):
         raise ValueError(f"state {element.s2} out of range for {n} qubits")
-    wiring = _wiring(n)
-    r = element.changed_bit
-    # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves at 0
-    before = wiring.wraps[element.s2]
     entries = element.block.ravel().tolist()
-    if entries == [0, 1, 1, 0]:  # exactly the X block
-        return [*before, wiring.swaps[r], *reversed(before)]
-    phi, theta, lam, mu = _zyz_angles(*entries)
-    controls = wiring.controls[r]
-    gates = list(before)
-    for kind, angle in (
-        (GateKind.FCRZ, lam - mu),
-        (GateKind.FCRY, 2.0 * theta),
-        (GateKind.FCRZ, lam + mu),
-        (GateKind.FCR1, phi),
-    ):
-        angle = normalize_angle(angle, _angle_period(kind))
-        if abs(angle) > IDENTITY_ANGLE_TOL:
-            gates.append(trusted_gate(kind, r, controls, angle))
-    gates.extend(reversed(before))
+    flip = (element.s1 >> (element.changed_bit + 1)).bit_count() % 2 == 1
+    angles = None if entries == [0, 1, 1, 0] else _zyz_angles(*entries, flip)
+    gates: list[Gate] = []
+    _append_block(gates, _wiring(n), element.s1, element.s2, angles)
     return gates
 
 
@@ -355,12 +352,13 @@ def matrix_to_circuit(
     """
     from . import optimizer
 
-    # two_level_decompose validates the matrix; nothing downstream re-checks
-    elements = two_level_decompose(matrix, tol)
+    # two_level_angles validates the matrix; nothing downstream re-checks
+    blocks = two_level_angles(matrix, tol)
     n = num_qubits(len(matrix))
+    wiring = _wiring(n)
     gates: list[Gate] = []
-    for element in elements:
-        gates.extend(two_level_to_gates(element, n))
+    for s1, s2, angles in blocks:
+        _append_block(gates, wiring, s1, s2, angles)
     circuit = Circuit(n, tuple(gates))
     if optimize:
         circuit = optimizer.optimize(circuit)

@@ -1,23 +1,24 @@
 """Reduction of a unitary into two-level matrices on one-bit state pairs.
 
 The input is reindexed by the binary-reflected Gray code, then brought to the
-identity by right-multiplying 2x2 blocks onto adjacent column pairs, top row
-first and rightmost entry first.  In the Gray frame adjacent indices differ
-in one bit, so every emitted block acts on a pair of basis states one bit
-apart in the original indexing, which is what lets a block become a single
+identity by right-multiplying 2x2 rotations onto adjacent column pairs, top
+row first and rightmost entry first.  In the Gray frame adjacent indices
+differ in one bit, so every emitted block acts on a pair of basis states one
+bit apart in the original indexing, which is what lets a block become a single
 fully-controlled gate downstream.
 
-``two_level_decompose`` returns the blocks in application order: multiplying
-their embeddings last-to-first (``reconstruct_matrix``) reproduces the input.
-It validates its input once; the blocks it builds are unitary by formula
-(or, for the trailing corner, up to the validated input's residual) and skip
-the public ``TwoLevelUnitary`` unitarity check.
-
-Each block's entries are Python complex numbers from one scalar core
-(``_eliminate``, also behind ``eliminate_entry``), and the emitted block is
-built from them.  numpy runs once per row, to skip the row's trailing
-near-zero entries, and once per block, for the column update: a BLAS matmul,
-since an elementwise update rounds differently.
+One elimination loop, ``two_level_angles``, gives each block as its state
+pair and the ZYZ angles ``(phi, theta, lam, mu)`` it computed (``None`` for
+an exact X block), in application order.  Zeroing ``b`` against ``a`` emits
+``(0, theta, arg a, arg b)`` with ``theta = atan2(|b|, |a|)``; a pair whose
+states run opposite to its Gray indices emits the X-conjugate,
+``(0, -theta, -arg a, -arg b)``.  Neither these nor the rotation applied to
+the work matrix involve ``pi``, whose float is 1.2e-16 short and would bias
+every block alike.  ``matrix_to_circuit`` turns the angles into gates;
+``two_level_decompose`` makes ``TwoLevelUnitary`` blocks of them with one
+scalar formula (``angles_block``).  numpy runs once per row, to skip its
+trailing near-zero entries, and once per rotation, for the column update: a
+BLAS matmul, since an elementwise update rounds differently.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ X_BLOCK = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 # the identity and X blocks' entries, as np.eye and X_BLOCK hold them
 _ONE = complex(1.0, 0.0)
 _ZERO = complex(0.0, 0.0)
+
+Angles = tuple[float, float, float, float]
 
 
 def gray_code(index: int) -> int:
@@ -81,28 +84,26 @@ def gray_conjugate(matrix: np.ndarray, direction: str = "forward") -> np.ndarray
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _eliminate(
-    a: complex, b: complex, zero_threshold: float
-) -> tuple[complex, complex, complex, complex, complex]:
-    """Scalar core of ``eliminate_entry``: the block's four entries and ``c``."""
+def _rotation(a: complex, b: complex, zero_threshold: float) -> tuple:
+    # scalar core of eliminate_entry and of elimination: the rotation's
+    # entries, c, and (theta, arg a, arg b), None for identity and swap
     abs_a = abs(a)
     abs_b = abs(b)
     if abs_b <= zero_threshold:
-        return _ONE, _ZERO, _ZERO, _ONE, a
+        return (_ONE, _ZERO, _ZERO, _ONE), a, None
     if abs_a <= zero_threshold:
-        return _ZERO, _ONE, _ONE, _ZERO, b
+        return (_ZERO, _ONE, _ONE, _ZERO), b, None
     theta = math.atan2(abs_b, abs_a)
-    lam = -cmath.phase(a)
-    mu = math.pi + cmath.phase(b)
+    arg_a = cmath.phase(a)
+    arg_b = cmath.phase(b)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    c = cos_t * (abs_a + abs_b**2 / abs_a)
+    ea = cmath.exp(1j * arg_a)
+    eb = cmath.exp(1j * arg_b)
     return (
-        cos_t * cmath.exp(1j * lam),
-        sin_t * cmath.exp(1j * mu),
-        -sin_t * cmath.exp(-1j * mu),
-        cos_t * cmath.exp(-1j * lam),
-        complex(c),
+        (cos_t * ea.conjugate(), -sin_t * eb, sin_t * eb.conjugate(), cos_t * ea),
+        complex(cos_t * (abs_a + abs_b**2 / abs_a)),
+        (theta, arg_a, arg_b),
     )
 
 
@@ -114,15 +115,45 @@ def eliminate_entry(
     Branches:
     - ``|b| <= zero_threshold``: identity block, ``c = a``.
     - ``|a| <= zero_threshold``: swap block, ``c = b``.
-    - otherwise the special unitary with ``theta = atan2(|b|, |a|)``,
-      ``lam = -arg(a)``, ``mu = pi + arg(b)``, which makes ``c`` real and
-      positive.
+    - otherwise ``[[c_t*conj(ea), -s_t*eb], [s_t*conj(eb), c_t*ea]]`` with
+      ``c_t, s_t = cos, sin(theta)``, ``theta = atan2(|b|, |a|)``,
+      ``ea = exp(i arg a)`` and ``eb = exp(i arg b)``: a special unitary,
+      written without ``pi``, which makes ``c`` real and positive.
 
     Returns:
         ``(block, c)``.
     """
-    b00, b01, b10, b11, c = _eliminate(complex(a), complex(b), zero_threshold)
-    return np.array([[b00, b01], [b10, b11]], dtype=np.complex128), c
+    entries, c, _ = _rotation(complex(a), complex(b), zero_threshold)
+    return np.array(entries, dtype=np.complex128).reshape(2, 2), c
+
+
+def _zyz_angles(
+    u00: complex, u01: complex, u10: complex, u11: complex, flip: bool = False
+) -> Angles:
+    # Unchecked core of zyz_decompose: R1(-phi) scales only row 1, so the
+    # angles read row 0; atan2 keeps the digits acos(|u00|) loses near 0; an
+    # exact zero has phase 0.  ``flip`` gives the form with theta <= 0 that
+    # elimination emits where a pair's states oppose its Gray indices.
+    phi = cmath.phase(u00 * u11 - u01 * u10)
+    theta = math.atan2(abs(u01), abs(u00))
+    if flip:
+        theta = -theta
+        u01 = -u01
+    lam = cmath.phase(u00) if u00 else 0.0
+    mu = cmath.phase(u01) if u01 else 0.0
+    return phi, theta, lam, mu
+
+
+def angles_block(phi: float, theta: float, lam: float, mu: float) -> np.ndarray:
+    """``R1(phi) Rz(lam+mu) Ry(2*theta) Rz(lam-mu)``, multiplied out."""
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    e_lam = cmath.exp(1j * lam)
+    e_mu = cmath.exp(1j * mu)
+    e_phi = cmath.exp(1j * phi)  # R1(phi) scales row 1
+    u10 = -sin_t * e_phi * e_mu.conjugate()
+    u11 = cos_t * e_phi * e_lam.conjugate()
+    return np.array([[cos_t * e_lam, sin_t * e_mu], [u10, u11]], dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +178,6 @@ class TwoLevelUnitary:
             raise UnitarityError("two-level block is not unitary")
         object.__setattr__(self, "block", block)
 
-    @classmethod
-    def _trusted(cls, s1: int, s2: int, block: np.ndarray) -> TwoLevelUnitary:
-        # s1 < s2 one bit apart and a 2x2 complex128 block, known by the caller
-        element = object.__new__(cls)
-        element.__dict__.update(s1=s1, s2=s2, block=block)
-        return element
-
     @property
     def changed_bit(self) -> int:
         """Index of the single bit in which s1 and s2 differ."""
@@ -164,57 +188,36 @@ class TwoLevelUnitary:
         if dim <= self.s2:
             raise ValueError(f"dimension {dim} too small for state {self.s2}")
         m = np.eye(dim, dtype=np.complex128)
-        m[self.s1, self.s1] = self.block[0, 0]
-        m[self.s1, self.s2] = self.block[0, 1]
-        m[self.s2, self.s1] = self.block[1, 0]
-        m[self.s2, self.s2] = self.block[1, 1]
+        m[np.ix_((self.s1, self.s2), (self.s1, self.s2))] = self.block
         return m
 
 
-def two_level_decompose(
+def two_level_angles(
     matrix: np.ndarray, tol: float | None = None
-) -> list[TwoLevelUnitary]:
-    """Decompose a unitary into two-level matrices on one-bit state pairs.
+) -> list[tuple[int, int, Angles | None]]:
+    """Eliminate a ``2**n`` unitary (``tol``: input unitarity tolerance).
 
-    Args:
-        matrix: square unitary of dimension ``2**n``.
-        tol: unitarity tolerance override for input validation.
-
-    Returns:
-        Blocks in application order: the product of their ``embedded``
-        matrices taken last-to-first equals the input.  A generic input
-        yields exactly ``d*(d-1)/2`` blocks for ``d = 2**n``; blocks that
-        would be the identity are skipped.
+    Returns ``(s1, s2, angles)`` per block in application order: ``s1 < s2``
+    one bit apart, ``angles`` the block's ``(phi, theta, lam, mu)`` or
+    ``None`` for an exact X block.  A generic input yields ``d*(d-1)/2``
+    blocks for ``d = 2**n``; blocks that would be the identity are skipped.
     """
     work = validate_unitary(matrix, tol)
     dim = work.shape[0]
-    n = num_qubits(dim)
-    pi = gray_permutation(n).tolist()
+    pi = gray_permutation(num_qubits(dim)).tolist()
     work = gray_conjugate(work, "forward")
-    out: list[TwoLevelUnitary] = []
-    trusted = TwoLevelUnitary._trusted
-    # one buffer holds each elimination block while it updates the columns
+    # Gray columns (lo, lo + 1) hold states (pi_lo, pi_lo+1): the pair in
+    # order, and the sign that turns a Gray-frame block's angles into the
+    # emitted block's (-1 where the X-conjugate swaps the states back)
+    pairs = [(s, t, 1.0) if s < t else (t, s, -1.0) for s, t in zip(pi, pi[1:])]
+    out: list[tuple[int, int, Angles | None]] = []
+    # one buffer holds each rotation while it updates the columns; rows
+    # above ``row`` are finished and never read again
     rotation = np.empty((2, 2), dtype=np.complex128)
 
-    def emit(lo: int, hi: int, block: np.ndarray) -> None:
-        # Gray-frame columns (lo, hi) hold original states (pi_lo, pi_hi);
-        # when those are out of order the block's basis must be swapped too.
-        s1 = pi[lo]
-        s2 = pi[hi]
-        if s1 > s2:
-            s1, s2 = s2, s1
-            block = X_BLOCK @ block @ X_BLOCK
-        # a C-ordered block of its own, as TwoLevelUnitary's copy gives; the
-        # conjugate-transpose view would keep its base array alive as well
-        out.append(trusted(s1, s2, np.ascontiguousarray(block)))
-
-    def apply(row: int, hi: int, block: np.ndarray) -> None:
-        # rows above ``row`` are finished and never read again
-        work[row:, hi - 1 : hi + 1] = work[row:, hi - 1 : hi + 1] @ block
-
     for row in range(dim - 2):
-        # A block on columns (col-1, col) changes only the entry left of col
-        # in this row, so the trailing run of entries at or below the
+        # A rotation on columns (col-1, col) changes only the entry left of
+        # col in this row, so the trailing run of entries at or below the
         # threshold is skipped whole.  np.abs may round differently from
         # abs() in the last bit: the vectorized test uses half the threshold
         # and leaves the entries in between to the exact test below.
@@ -224,54 +227,49 @@ def two_level_decompose(
             b = work.item(row, col)
             if abs(b) <= ZERO_THRESHOLD:
                 continue
-            b00, b01, b10, b11, _ = _eliminate(
-                work.item(row, col - 1), b, ZERO_THRESHOLD
-            )
-            rotation[0, 0] = b00
-            rotation[0, 1] = b01
-            rotation[1, 0] = b10
-            rotation[1, 1] = b11
-            apply(row, col, rotation)
-            # Emit the conjugate transpose (complex.conjugate flips the sign
-            # bit of the imaginary part, as numpy's conj does).  For an
-            # out-of-order pair, X_BLOCK @ E @ X_BLOCK swaps E's rows and
-            # columns.  Its products are by an exact 0 or 1, so swapping the
-            # scalars gives the same bits, except for the sign of a zero
-            # part, which the BLAS kernel decides: a block with a zero part
-            # (or an underflowing product) goes through the matmuls.
-            e00 = b00.conjugate()
-            e01 = b10.conjugate()
-            e10 = b01.conjugate()
-            e11 = b11.conjugate()
-            s1 = pi[col - 1]
-            s2 = pi[col]
-            if s1 < s2:
-                entries = [[e00, e01], [e10, e11]]
-            elif (
-                e00.real * e00.imag * e01.real * e01.imag
-                * e10.real * e10.imag * e11.real * e11.imag
-            ):
-                s1, s2 = s2, s1
-                entries = [[e11, e10], [e01, e00]]
+            entries, _, angles = _rotation(work.item(row, col - 1), b, ZERO_THRESHOLD)
+            rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = entries
+            work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
+            # the emitted block is the rotation's conjugate transpose
+            s1, s2, sign = pairs[col - 1]
+            if angles is None:
+                out.append((s1, s2, None))
             else:
-                emit(col - 1, col, rotation.conj().T)
-                continue
-            out.append(trusted(s1, s2, np.array(entries, dtype=np.complex128)))
-        diag = work[row, row]
+                theta, arg_a, arg_b = angles
+                out.append((s1, s2, (0.0, sign * theta, sign * arg_a, sign * arg_b)))
+        diag = work.item(row, row)
         if abs(diag - 1.0) > _PHASE_TOL:
             # Zero entries along the row can leave a unit-modulus phase on
             # the diagonal; rotate it onto the next column so the row
             # finishes at exactly e_row.
-            phase = diag / abs(diag)
-            block = np.array(
-                [[phase.conjugate(), 0.0], [0.0, phase]], dtype=np.complex128
-            )
-            apply(row, row + 1, block)
-            emit(row, row + 1, block.conj().T)
-    final = np.array(work[dim - 2 :, dim - 2 :])
+            arg = cmath.phase(diag)
+            phase = cmath.exp(1j * arg)
+            rotation[:] = ((phase.conjugate(), _ZERO), (_ZERO, phase))
+            work[row:, row : row + 2] = work[row:, row : row + 2] @ rotation
+            s1, s2, sign = pairs[row]
+            out.append((s1, s2, (0.0, 0.0, sign * arg, 0.0)))
+    final = work[dim - 2 :, dim - 2 :]
     if np.linalg.norm(final - np.eye(2)) > _FINAL_IDENTITY_TOL:
-        emit(dim - 2, dim - 1, final)
+        corner = final.ravel().tolist()
+        s1, s2, sign = pairs[dim - 2]
+        if sign < 0:
+            corner.reverse()  # the X-conjugate's entries, row-major
+        exact_x = corner == [0, 1, 1, 0]
+        out.append((s1, s2, None if exact_x else _zyz_angles(*corner, sign < 0)))
     return out
+
+
+def two_level_decompose(
+    matrix: np.ndarray, tol: float | None = None
+) -> list[TwoLevelUnitary]:
+    """``two_level_angles``' blocks as ``TwoLevelUnitary`` elements (same args).
+
+    Their ``embedded`` matrices multiplied last-to-first give the input.
+    """
+    return [
+        TwoLevelUnitary(s1, s2, X_BLOCK if angles is None else angles_block(*angles))
+        for s1, s2, angles in two_level_angles(matrix, tol)
+    ]
 
 
 def reconstruct_matrix(elements: list[TwoLevelUnitary], dim: int) -> np.ndarray:
