@@ -9,6 +9,11 @@ and three structured 4-qubit matrices from seeded numpy.  The digests pin
 float results of numpy's QR and matrix products on x86_64 with OpenBLAS;
 another linear-algebra build may round differently.
 
+The compiler-dependent digests (emitted text, blocks, the compiled simulated
+matrix) were re-recorded once, when elimination began handing synthesis its
+own angles, written without ``pi``, and the ZYZ angle moved from ``acos`` to
+``atan2``.  ``RANDOM_GOLDEN`` and the ``random_n*`` entries did not move.
+
 ``RANDOM_GOLDEN`` pins the emitters alone on ``random_circuit`` gate soups
 (n = 1..5, seeded), recorded before the emitters built their text from
 per-wiring fragments.  Unlike compiler output, these hold plain and
@@ -49,44 +54,44 @@ GOLDEN = {
         "4f1136563943743125ce5d4f132d1cbf7bc8fc15a7277a35b2ba7d7d6d2c6f62",
     ),
     "haar_n2_seed42": (
-        "c1a4e982906788d646dec3a66bf36f699b314f0908e076ab4ed39714cae27257",
-        "6c7deb3c1d653ac070c9da690ad5e2fa979330f8de0b84bef775362d1402667f",
-        "b6062e46bdf9085228ad7893d859f9b7fc41aee23161a0d7f0be4b166434f73c",
+        "50e733fae8499826503ffe3328fbf57a9869a8770073cc39233ebdddbf70e207",
+        "f3eda76b296cc5883e599764ddcaaf66710e8ffde1386aae54997cb1b1c8e203",
+        "1f5431d90203789e3882202dd6b3e52dd1c2b53d8e157d20b702b037ff406c90",
     ),
     "haar_n3_seed42": (
-        "d71f890638486ce927ee043d5cceec76b44a2ae43e94f7245246749cd4d61e1c",
-        "c51197511877657e6e82d6860ff966d56d5807d0dc5c57f70261a75fe695b809",
-        "0e216ff6373e42b0ef3ade056d38edff370a04ca456ce4802307ce96da781114",
+        "34cbd963efaddd25904ed960fe1ed8d058da0b7db86034553dbd4316c35f66a7",
+        "e43c53cbf8f79d89daef57d5ca3e005d4511eabd56339d1f13d1b3f4467337f9",
+        "b0ec4b56a7361b9745790c23c463a48eb4c9007eb6e7e7c5e9b312dfe365501c",
     ),
     "haar_n4_seed42": (
-        "bf6bf3b2bfb9a98786853f149f7ff8656c95efb32dab181ba60184cd8c0063b7",
-        "924941583a6d5b5fb2f729e32f740dedd03a6236bc0d8f344323cb7134fbc032",
-        "2670099a35901a0f8fb18c4ae99d8b41206fa834da2739071f61df5dc983e679",
+        "5ab189f196b6fed3bd8296bbd6d96a8cbfe65aef564102add66f0fda7f26c366",
+        "b43a7ff8fa8daa0b21a4fabc08bf5aedfe2e73676e4fbd4733175429426f0d48",
+        "6365c3fb68043ceb9ecf586d0dbf22ac48350db41f7a1c2b2797f08428123b6f",
     ),
     "haar_n5_seed42": (
-        "e1cd9537903aa78579d8c66fe126d39ef1f7e84bab8dc6eebd6f153dba0cdca4",
-        "3d78028d1990605ca4d43e0c37e694eaedd71e9685eef1d7c09ad53f86f217ce",
-        "1f5c5e9fc7c5a15a407d60b668284ad005277bed4279690da8a385f31eafba6c",
+        "1d65b865fd71470dccda9bfd034690a3563918af528cc36d487947d09ae2da73",
+        "cb78e385b28034df9b628f5ad411a63c042a71b69d2bbdcd07f93a58320794ac",
+        "bb8b2aee77b4ad4367f1b16a0620f8ab71c56c5f69f777b372dcba7cb629da6f",
     ),
     "haar_n6_seed42": (
-        "4856e9e08ccfc263f0fbce6d07910319c4674ef24ae520fd368be025f7693b7b",
-        "1e26fe6157c88373a382ec51ade719e3b5e05d2f0edc971e7afd7ce87da676d0",
-        "718789b82c60f40b06873c1ee2cec1290a0204e90984f26403639f673d21df0f",
+        "be05cd492e260a55fc28827f26500d4cf419787cd51c64ab5beb805ce6cec09a",
+        "17e88318b9e082b9dadc6a290ddce355b7cffc868c23f6aa7a14a6ef43000fc8",
+        "04b98db0c60b1fbecc4166e2c9273d9a4911743644504b3b1a63f5f83a65a136",
     ),
     "diagonal_phase_n4": (
-        "5c7fc7840b9278b5875e934cb170a13bcd27ae49743ad976c12d16aac2ba3d65",
-        "fd048ebd06c0caf444e8c9e72d708b57a850522276c7ff550646dbcd14ee4402",
-        "ceedadec273edee145b069ab35e47092d791d8c66f6dc95079cbc429b9d9d04f",
+        "5e4024795dac1ab18412f90620e2f3589989d8798a8c14dbdeb369da798be249",
+        "9ba53ef3c90fbe3219a9bf7ee7747025c697f97118c4368e92129902fa56ce04",
+        "764b1819dab9f8fd87bed70700361c61be24e03934cda3002d5c7739267b2468",
     ),
     "controlled_u_n4": (
-        "de50609f1ee54f69022d13faf2ee50b8fc741ab30564db9c18f7b27981483aae",
-        "a4ea1c1608ab8a10503f3fa22493c02dddea3e74bbdcf1916f3a475044bb3daa",
-        "cdf67648d2ee47e204b066c52f0e68f58e3451d4ef6ffe83333c7f647bbd462f",
+        "22bfb353ccd6a85d61ef3f04060a3c67046881f983ff997d1d0997d3e6965c87",
+        "1b6cccdd24cf8b0b9813dbf15eb84b51d42a8f24bfac627fabe5a17d95345c13",
+        "a57e4bed589048e63b35dbe1cde9fe74a380452d74a62042572cb74808d26e72",
     ),
     "block_diagonal_n4": (
-        "5537f329f09514d442fad239816f4b7daa905f1cf3ef10e4cf63ec017f56df93",
-        "b56d3de131fbce66544c42e7da261dd20a64da466a03eedea6ba9cda91ccb27f",
-        "115c289458cf0d0622782e1726914b6b870d72eecb0df0c0c7ea942a671d4f38",
+        "d849c354324c321709b299832c00dca0628f6c3d903491c9b055c5f2d73ace78",
+        "25ec5ab496deba565bd02c4df3decc4a4695ddacd20463f65017ef27ead749ec",
+        "6454c28ced472d4f952026b25b5b51fa69c790cd1ee24d0d44032deb6a399cfc",
     ),
 }
 
@@ -206,17 +211,17 @@ BLOCK_INPUTS = {
 
 # name -> sha256 over every two_level_decompose block of (s1, s2, block bytes)
 BLOCK_GOLDEN = {
-    "block_diagonal_n4": "127f83cbf837ea9482de2e09028177d6eeaa8f08510f2df2c06fdc8d150d23ab",
-    "controlled_u_n4": "6941f7213e9374838d19ac071c8a78ad2dd6345e583797ea5f5a120a5354a647",
-    "diagonal_phase_n4": "59277d5be08f5b086b4ac793ae6ee4ef76f1d58ab64ab86af61ca88357c63657",
-    "haar_n1_seed42": "90dbb27da8fd03a912667d7e51a54a2091d7907c4577c4018142feaacaaf7031",
-    "haar_n2_seed42": "de2286a94da6f72e28f7d1494569eb719acd72c30a4f00c35e6e5344abc4dee0",
-    "haar_n3_seed42": "a8e17c3284c0ed971926da7c48823b447c6f54ae555f87fc5bbd9eea3ec085f3",
-    "haar_n4_seed42": "4ca48d917d06d6d86531b02fea253f52ded83b55f47975643c30fcbc2682c135",
-    "haar_n5_seed42": "724f7ea20f2debaed202fc1760685b5002a6798c69c7c699eef3f29f722c948a",
-    "haar_n6_seed42": "88f4cac53854ca289d08eb9701a633b061c918218d5cf5eb19efd5daca101e1e",
-    "near_diagonal_n5": "95e67f2578392daa52befffe3aacd348bb2e5d4dcad06f6ee1ba5c9b8ac5fb84",
-    "permutation_n5": "4966e5b34c91b2fd9e368bc0c591896e3445176426096c37ce73a657316937c4",
+    "block_diagonal_n4": "f260e232797b263f54f321bdcda5003f69bd2c5e24f79bdb0801bd56487c935f",
+    "controlled_u_n4": "dc0e3a11d8fe263aeb17b9099aba0ac77496ab7fa9c5fb6335dd8d27799f3a96",
+    "diagonal_phase_n4": "c0393f2b5dfe0853cde441c8142b237aa0b0a245fe85294af5c50fcdca649da1",
+    "haar_n1_seed42": "0f77e659d68909102eae223ce1e8b602b32f9f1a0a4481c6292f8f58315f1e4a",
+    "haar_n2_seed42": "7b6ba5ccb0cd1a167e2d97cdcea36ec6b376d45cc446e85818e5c7758a3d9dd4",
+    "haar_n3_seed42": "28877e396c83eb76fc908456da8b4c2f6465ec0d5c6d3c7c867cc4c49d29f7c7",
+    "haar_n4_seed42": "8f4f548fac8df0417166c6083f5ee2df7dc1c80aa25f68b6bf8186e8d7a90fa0",
+    "haar_n5_seed42": "c32fec3ecf578ef25c50a2d99bb3232896098d79a9bd25cf874f15c1c37fb142",
+    "haar_n6_seed42": "acf9d12985e2a6f201ed4bc6c122a7dfcbba7d42dd85d79d819a5f9023340e8f",
+    "near_diagonal_n5": "bd4f020741658ec09a5e84c6d7f2fbe2933917df03607e08449a0e0b61be39c6",
+    "permutation_n5": "bd0576f39ec9e556e416e23dd33a14409ed437a184c74202dae9674afe6edd86",
 }
 
 
@@ -247,7 +252,7 @@ SIMULATED = _simulated_inputs()
 
 # name -> sha256 of circuit_matrix(circuit).tobytes()
 SIMULATED_GOLDEN = {
-    "compiled_haar_n5": "e25573ca2e256d70048490bb9d0560442c039797cc2be7d85eb6e41ed4c75949",
+    "compiled_haar_n5": "ca79082fe51b1d343214e744a95f395d2165ab55ab5c8f5aef17727787237489",
     "random_n1": "1e7cc8935ccae84f819956baa4d8b2dee371f7c883a46ca4826801a321ea76d9",
     "random_n2": "9db948ab17a767b20dff49fd343e44820660a26d703b1367df627ee403ede878",
     "random_n3": "28ca858fef1139ceb4d5d92fc5cdff62a8bb817d0c41f1ba1489a2eddcff5ea4",
