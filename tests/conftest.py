@@ -5,8 +5,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from unisynth import Circuit, Gate, GateKind
+
+# CI selects this with --hypothesis-profile=ci: the same examples on every
+# run, so a failing property fails alike each time, and no deadline on
+# shared runners.  Local runs keep the default (random) profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 # Controlled-NOT with control qubit 1 and target qubit 0 (little-endian), so
 # the swap block sits on basis states 2 and 3.

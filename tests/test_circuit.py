@@ -22,11 +22,12 @@ from unisynth import (
     r1_matrix,
     ry_matrix,
     rz_matrix,
+    two_level_decompose,
     two_level_to_gates,
     zyz_decompose,
     zyz_reconstruct,
 )
-from unisynth.twolevel import X_BLOCK
+from unisynth.twolevel import X_BLOCK, angles_block
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -334,3 +335,55 @@ def test_circuit_rejects_out_of_range_gate_repeating_an_earlier_pair():
         Circuit(3, (Gate(GateKind.X, 0), gate, gate))
     with pytest.raises(ValueError, match="qubit 4 but circuit has n=2"):
         Circuit(2, (Gate(GateKind.FCRZ, 0, (1,), 1.0), Gate(GateKind.FCRZ, 0, (4, 1), 1.0)))
+
+
+def test_angles_block_multiplies_out_the_rotation_chain():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        phi, theta, lam, mu = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 4)
+        chain = r1_matrix(phi) @ rz_matrix(lam + mu) @ ry_matrix(2 * theta) @ rz_matrix(lam - mu)
+        assert np.abs(angles_block(phi, theta, lam, mu) - chain).max() <= 1e-15
+
+
+def _two_view_inputs():
+    from test_golden import BLOCK_INPUTS
+
+    inputs = {f"haar_n{n}": haar_random_unitary(n, 42) for n in range(1, 6)}
+    inputs["haar_n5_seed7"] = haar_random_unitary(5, 7)
+    for name in ("permutation_n5", "near_diagonal_n5", "diagonal_phase_n4"):
+        inputs[name] = BLOCK_INPUTS[name]
+    return inputs
+
+
+TWO_VIEW_INPUTS = _two_view_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(TWO_VIEW_INPUTS))
+def test_compile_path_and_public_blocks_give_the_same_gates(name):
+    # one elimination, two views: angles handed to synthesis directly, and
+    # the public blocks built from them, read back by two_level_to_gates
+    u = TWO_VIEW_INPUTS[name]
+    n = len(u).bit_length() - 1
+    compiled = matrix_to_circuit(u, optimize=False).gates
+    public = [g for e in two_level_decompose(u) for g in two_level_to_gates(e, n)]
+    assert [(g.kind, g.target, g.controls) for g in compiled] == [
+        (g.kind, g.target, g.controls) for g in public
+    ]
+    for a, b in zip(compiled, public):
+        if a.angle is not None:
+            period = TWO_PI if a.kind is GateKind.FCR1 else FOUR_PI
+            assert abs(math.remainder(a.angle - b.angle, period)) <= 1e-12
+
+
+def test_two_level_to_gates_reads_out_of_order_pairs_with_nonpositive_theta():
+    # states 3 and 2 sit at Gray indices 2 and 3: elimination emits the
+    # X-conjugate there, whose Ry angle is -2*theta, and so does the public view
+    block = ry_matrix(0.8)
+    in_order = two_level_to_gates(TwoLevelUnitary(0, 1, block), 2)
+    out_of_order = two_level_to_gates(TwoLevelUnitary(2, 3, block), 2)
+    ry = pytest.approx(0.8, abs=1e-15)
+    assert [g.angle for g in in_order if g.kind is GateKind.FCRY] == [ry]
+    assert [-g.angle for g in out_of_order if g.kind is GateKind.FCRY] == [ry]
+    for element in (TwoLevelUnitary(0, 1, block), TwoLevelUnitary(2, 3, block)):
+        got = _gates_matrix(two_level_to_gates(element, 2), 2)
+        assert np.abs(got - element.embedded(4)).max() <= 1e-15

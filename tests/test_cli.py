@@ -192,6 +192,14 @@ def test_bench_table_matches_known_counts(capsys):
     assert lines[3] == ["3", "28", "28", "56", "1", "0", "113", "1.77"]
 
 
+def test_bench_table_matches_readme(capsys):
+    # the README's census table is what ``bench --n-min 1 --n-max 6`` prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("`bench` prints a fixed-seed table", 1)[1].split("```", 2)[1]
+    assert main(["bench", "--n-min", "1", "--n-max", "6"]) == 0
+    assert capsys.readouterr().out.strip("\n") == table.strip("\n")
+
+
 def test_bench_csv_output(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--n-min", "2", "--n-max", "2", "-o", str(out)]) == 0
