@@ -188,7 +188,10 @@ class TwoLevelUnitary:
         if dim <= self.s2:
             raise ValueError(f"dimension {dim} too small for state {self.s2}")
         m = np.eye(dim, dtype=np.complex128)
-        m[np.ix_((self.s1, self.s2), (self.s1, self.s2))] = self.block
+        m[self.s1, self.s1] = self.block[0, 0]
+        m[self.s1, self.s2] = self.block[0, 1]
+        m[self.s2, self.s1] = self.block[1, 0]
+        m[self.s2, self.s2] = self.block[1, 1]
         return m
 
 

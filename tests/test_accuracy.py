@@ -98,7 +98,8 @@ def test_zyz_diagonal_angle_is_exactly_zero():
 
 @pytest.mark.parametrize("theta", [1e-13, 1e-10, 1e-7, 1e-4])
 def test_zyz_small_angle_keeps_full_precision(theta):
-    assert zyz_decompose(ry_matrix(2.0 * theta)).theta == pytest.approx(theta, rel=1e-14)
+    got = zyz_decompose(ry_matrix(2.0 * theta)).theta
+    assert got == pytest.approx(theta, rel=1e-14, abs=0.0)
 
 
 def test_diagonal_block_synthesizes_without_ry():
