@@ -341,7 +341,8 @@ def test_angles_block_multiplies_out_the_rotation_chain():
     rng = np.random.default_rng(21)
     for _ in range(200):
         phi, theta, lam, mu = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 4)
-        chain = r1_matrix(phi) @ rz_matrix(lam + mu) @ ry_matrix(2 * theta) @ rz_matrix(lam - mu)
+        chain = r1_matrix(phi) @ rz_matrix(lam + mu)
+        chain = chain @ ry_matrix(2 * theta) @ rz_matrix(lam - mu)
         assert np.abs(angles_block(phi, theta, lam, mu) - chain).max() <= 1e-15
 
 
