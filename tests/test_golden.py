@@ -45,6 +45,7 @@ from unisynth import (
     matrix_to_circuit,
     two_level_decompose,
 )
+from unisynth.twolevel import two_level_angles
 
 # name -> sha256 of (emit_json, emit_qasm3, emit_qsharp)
 GOLDEN = {
@@ -237,6 +238,37 @@ def _block_digest(matrix: np.ndarray) -> str:
 def test_two_level_blocks_match_golden_digest(name):
     # block bytes keep the sign of every zero, which the emitted text drops
     assert _block_digest(BLOCK_INPUTS[name]) == BLOCK_GOLDEN[name]
+
+
+# name -> sha256 over every two_level_angles entry of (s1, s2, angle bytes),
+# with b"X" standing for an exact X block
+ANGLES_GOLDEN = {
+    "block_diagonal_n4": "c5df182cd2fcd13bac807309f8654d82997933c43bf3447b12773d4b6d783425",
+    "controlled_u_n4": "8beb4c148354e78367c33fd81065fc74717bceeac6747ff79e2e9a489b7b6c40",
+    "diagonal_phase_n4": "fba5bc41c1dca0ac71dbd5760f62125d95d133008d9c640eecdf5552517aaf70",
+    "haar_n1_seed42": "488a6ecef8a3657b19713ffdba3114396f93671f55f9a30d0360a4e40e1f5ae4",
+    "haar_n2_seed42": "5afb86b7a8338b103499ebe34000ee8f02ac0653d145de04897420c0b3ba1183",
+    "haar_n3_seed42": "76544a045d2b66853560b006fe170177b9a3d2a816c3e09f1f257200a2609563",
+    "haar_n4_seed42": "a62ee65fa15cd41441a5431e2bc997e0fa43a90b04fa34e2b5faecb1cf249355",
+    "haar_n5_seed42": "7fb2ea31cc08dadc8458f6e13dca696196198946e45ba0339870027afbe80b89",
+    "haar_n6_seed42": "b9927ccca0334272c707d3314b7eeaba4d056cffa1efe139da657a7e5a8ee2c3",
+    "near_diagonal_n5": "3f7d90d19e5281ba705392e4d13306c70b139108cd54f525f6066fd68d7695fe",
+    "permutation_n5": "4a0aa513f8582661112cb1f89329135411c78a40554f7e3a8ee5eb41af3aa1a1",
+}
+
+
+def _angles_digest(matrix: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for s1, s2, angles in two_level_angles(matrix):
+        h.update(f"{s1},{s2};".encode())
+        h.update(b"X" if angles is None else np.array(angles, np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ANGLES_GOLDEN))
+def test_two_level_angles_match_golden_digest(name):
+    # angle bytes keep the sign of every zero, which the emitted text drops
+    assert _angles_digest(BLOCK_INPUTS[name]) == ANGLES_GOLDEN[name]
 
 
 def _simulated_inputs():
