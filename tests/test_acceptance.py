@@ -24,12 +24,12 @@ from unisynth import (
     matrix_to_circuit,
     optimize,
     parse_json,
-    two_level_decompose,
     verify,
     zyz_decompose,
     zyz_reconstruct,
 )
 from unisynth.cli import census
+from unisynth.twolevel import two_level_angles
 
 from conftest import random_circuit
 from test_emitters import backend_p, backend_ry, backend_rz, parse_qasm3
@@ -88,14 +88,13 @@ def test_criterion_3_two_level_counts():
     for n in range(1, 6):
         dim = 1 << n
         for seed in range(3):
-            elements = two_level_decompose(haar_random_unitary(n, seed))
-            ok = ok and len(elements) == dim * (dim - 1) // 2
+            entries = two_level_angles(haar_random_unitary(n, seed))
+            ok = ok and len(entries) == dim * (dim - 1) // 2
             ok = ok and all(
-                (e.s1 ^ e.s2).bit_count() == 1 and e.s1 < e.s2 for e in elements
+                (s1 ^ s2).bit_count() == 1 and s1 < s2 for s1, s2, _ in entries
             )
-            ok = ok and all(
-                abs(np.linalg.det(e.block) - 1.0) <= 1e-10 for e in elements[:-1]
-            )
+            # phi, the block's determinant phase, is exactly 0 but on the last
+            ok = ok and all(angles[0] == 0.0 for _, _, angles in entries[:-1])
     _report(
         3,
         "generic decompositions have d(d-1)/2 one-bit-pair blocks, "

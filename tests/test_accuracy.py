@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 
 from unisynth import (
     GateKind,
-    TwoLevelUnitary,
     census,
     haar_random_unitary,
     matrix_to_circuit,
     ry_matrix,
-    two_level_to_gates,
     verify,
     zyz_decompose,
 )
@@ -105,9 +103,13 @@ def test_zyz_small_angle_keeps_full_precision(theta):
 def test_diagonal_block_synthesizes_without_ry():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        block = np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
-        gates = two_level_to_gates(TwoLevelUnitary(2, 6, block), 3)
-        assert all(g.kind is not GateKind.FCRY for g in gates)
+        # states 2 and 6 are Gray-adjacent; the phase left on state 6 moves
+        # on through later rows as theta-0 blocks
+        u = np.eye(8, dtype=np.complex128)
+        u[2, 2], u[6, 6] = np.exp(1j * rng.uniform(-math.pi, math.pi, 2))
+        circuit = matrix_to_circuit(u, optimize=False)
+        assert all(g.kind is not GateKind.FCRY for g in circuit.gates)
+        assert verify(u, circuit, tol=1e-13).passed
 
 
 def test_haar_n6_seed42_is_no_less_accurate():

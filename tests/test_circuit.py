@@ -12,9 +12,9 @@ from unisynth import (
     DimensionError,
     Gate,
     GateKind,
-    TwoLevelUnitary,
     UnitarityError,
     circuit_matrix,
+    gray_permutation,
     haar_random_unitary,
     matrix_to_circuit,
     normalize_angle,
@@ -22,12 +22,11 @@ from unisynth import (
     r1_matrix,
     ry_matrix,
     rz_matrix,
-    two_level_decompose,
-    two_level_to_gates,
+    verify,
     zyz_decompose,
     zyz_reconstruct,
 )
-from unisynth.twolevel import X_BLOCK, angles_block
+from unisynth.twolevel import angles_block
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -127,10 +126,11 @@ def test_zyz_pure_ry_recovers_half_angle():
 
 
 def test_zyz_swap_block():
-    angles = zyz_decompose(X_BLOCK)
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    angles = zyz_decompose(x)
     assert angles.theta == pytest.approx(math.pi / 2)
     assert angles.phi == pytest.approx(math.pi)
-    assert np.allclose(zyz_reconstruct(angles), X_BLOCK, atol=1e-15)
+    assert np.allclose(zyz_reconstruct(angles), x, atol=1e-15)
 
 
 def test_zyz_round_trip_over_many_unitaries():
@@ -151,81 +151,101 @@ def _gates_matrix(gates, n):
     return circuit_matrix(Circuit(n, tuple(gates)))
 
 
+def _two_level(s1, s2, block, n):
+    """Identity on ``n`` qubits with ``block`` acting on states ``s1, s2``."""
+    u = np.eye(1 << n, dtype=np.complex128)
+    u[np.ix_([s1, s2], [s1, s2])] = block
+    return u
+
+
+def _su2(seed):
+    block = haar_random_unitary(1, seed)
+    return block / np.linalg.det(block) ** 0.5
+
+
+def _gray_pairs(n):
+    """Each pair of Gray-adjacent states, in order, with s1 < s2."""
+    pi = gray_permutation(n).tolist()
+    return [(min(s, t), max(s, t)) for s, t in zip(pi, pi[1:])]
+
+
+# A two-level unitary on Gray-adjacent states compiles, unoptimized, into one
+# X-wrapped chain when its block is special unitary (no phase is left for a
+# later row) or when its pair is the last Gray pair (the trailing corner).
+
+
 def test_two_level_to_gates_five_qubit_wrappers():
-    # states 10100 and 10110 differ in bit 3; bits 1 and 4 of s1 are zero
-    s1 = parse_ket("10100")
-    s2 = parse_ket("10110")
-    element = TwoLevelUnitary(s1, s2, haar_random_unitary(1, 3))
-    gates = two_level_to_gates(element, 5)
+    # states 00101 and 00111 (Gray indices 24 and 23) differ in bit 3; bits
+    # 0 and 1 of s1 are zero
+    s1 = parse_ket("00101")
+    s2 = parse_ket("00111")
+    u = _two_level(s1, s2, _su2(3), 5)
+    gates = matrix_to_circuit(u, optimize=False).gates
     assert [g.kind for g in gates[:2]] == [GateKind.X, GateKind.X]
-    assert [g.target for g in gates[:2]] == [1, 4]
-    assert [g.target for g in gates[-2:]] == [4, 1]
+    assert [g.target for g in gates[:2]] == [0, 1]
+    assert [g.target for g in gates[-2:]] == [1, 0]
     core = gates[2:-2]
-    assert all(g.target == 3 and g.controls == (0, 1, 2, 4) for g in core)
-    got = _gates_matrix(gates, 5)
-    assert np.linalg.norm(got - element.embedded(32)) <= 1e-10
+    assert core and all(g.target == 3 and g.controls == (0, 1, 2, 4) for g in core)
+    assert np.linalg.norm(_gates_matrix(gates, 5) - u) <= 1e-10
 
 
 def test_two_level_to_gates_single_qubit_swap_is_plain_x():
-    element = TwoLevelUnitary(0, 1, X_BLOCK)
-    assert two_level_to_gates(element, 1) == [Gate(GateKind.X, 0)]
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    assert matrix_to_circuit(x, optimize=False).gates == (Gate(GateKind.X, 0),)
 
 
 def test_two_level_to_gates_exact_swap_block_is_fcx():
-    element = TwoLevelUnitary(2, 3, X_BLOCK)
-    assert two_level_to_gates(element, 2) == [Gate(GateKind.FCX, 0, (1,))]
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    # the trailing corner (states 3, 2) and a swap during elimination (0, 1)
+    assert matrix_to_circuit(_two_level(2, 3, x, 2), optimize=False).gates == (
+        Gate(GateKind.FCX, 0, (1,)),
+    )
+    assert matrix_to_circuit(_two_level(0, 1, x, 2), optimize=False).gates == (
+        Gate(GateKind.X, 1),
+        Gate(GateKind.FCX, 0, (1,)),
+        Gate(GateKind.X, 1),
+    )
 
 
 def test_two_level_to_gates_su2_block_has_no_r1():
-    block = haar_random_unitary(1, 8)
-    block = block / np.linalg.det(block) ** 0.5
-    element = TwoLevelUnitary(2, 3, block)
-    gates = two_level_to_gates(element, 2)
-    assert all(g.kind is not GateKind.FCR1 for g in gates)
-    assert np.linalg.norm(_gates_matrix(gates, 2) - element.embedded(4)) <= 1e-10
+    for s1, s2 in _gray_pairs(2):
+        u = _two_level(s1, s2, _su2(8), 2)
+        circuit = matrix_to_circuit(u, optimize=False)
+        assert all(g.kind is not GateKind.FCR1 for g in circuit.gates)
+        assert verify(u, circuit, tol=1e-10).passed
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_two_level_to_gates_matches_embedding_everywhere(n):
-    dim = 1 << n
-    seed = 0
-    for r in range(n):
-        for s1 in range(dim):
-            if (s1 >> r) & 1:
-                continue
-            s2 = s1 | (1 << r)
-            element = TwoLevelUnitary(s1, s2, haar_random_unitary(1, seed))
-            seed += 1
-            gates = two_level_to_gates(element, n)
-            assert len(gates) <= 4 + 2 * n
-            got = _gates_matrix(gates, n)
-            assert np.linalg.norm(got - element.embedded(dim)) <= 1e-10
+    pairs = _gray_pairs(n)
+    for seed, (s1, s2) in enumerate(pairs):
+        last = seed == len(pairs) - 1
+        block = haar_random_unitary(1, seed) if last else _su2(seed)
+        u = _two_level(s1, s2, block, n)
+        gates = matrix_to_circuit(u, optimize=False).gates
+        r = (s1 ^ s2).bit_length() - 1
+        assert len(gates) <= 4 + 2 * n
+        assert all(g.target == r for g in gates if g.kind is not GateKind.X)
+        assert np.linalg.norm(_gates_matrix(gates, n) - u) <= 1e-10
 
 
 def test_x_conjugation_moves_the_pair():
     # wrapping in X on a non-target bit acts the block on the flipped pair
     n = 3
+    pairs = _gray_pairs(n)
     rng = np.random.default_rng(12)
     for _ in range(20):
-        r = int(rng.integers(n))
-        s1 = int(rng.integers(1 << n)) & ~(1 << r)
-        s2 = s1 | (1 << r)
+        s1, s2 = pairs[int(rng.integers(len(pairs)))]
+        r = (s1 ^ s2).bit_length() - 1
         j = int(rng.choice([q for q in range(n) if q != r]))
-        element = TwoLevelUnitary(s1, s2, haar_random_unitary(1, int(rng.integers(100))))
+        block = haar_random_unitary(1, int(rng.integers(100)))
         wrapped = (
             [Gate(GateKind.X, j)]
-            + two_level_to_gates(element, n)
+            + list(matrix_to_circuit(_two_level(s1, s2, block, n), optimize=False))
             + [Gate(GateKind.X, j)]
         )
-        moved = TwoLevelUnitary(s1 ^ (1 << j), s2 ^ (1 << j), element.block)
-        got = _gates_matrix(wrapped, n)
-        assert np.linalg.norm(got - moved.embedded(1 << n)) <= 1e-12
-
-
-def test_two_level_to_gates_range_check():
-    element = TwoLevelUnitary(2, 3, np.eye(2))
-    with pytest.raises(ValueError):
-        two_level_to_gates(element, 1)
+        moved = _two_level(s1 ^ (1 << j), s2 ^ (1 << j), block, n)
+        assert np.linalg.norm(_gates_matrix(wrapped, n) - moved) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -346,45 +366,15 @@ def test_angles_block_multiplies_out_the_rotation_chain():
         assert np.abs(angles_block(phi, theta, lam, mu) - chain).max() <= 1e-15
 
 
-def _two_view_inputs():
-    from test_golden import BLOCK_INPUTS
-
-    inputs = {f"haar_n{n}": haar_random_unitary(n, 42) for n in range(1, 6)}
-    inputs["haar_n5_seed7"] = haar_random_unitary(5, 7)
-    for name in ("permutation_n5", "near_diagonal_n5", "diagonal_phase_n4"):
-        inputs[name] = BLOCK_INPUTS[name]
-    return inputs
-
-
-TWO_VIEW_INPUTS = _two_view_inputs()
-
-
-@pytest.mark.parametrize("name", sorted(TWO_VIEW_INPUTS))
-def test_compile_path_and_public_blocks_give_the_same_gates(name):
-    # one elimination, two views: angles handed to synthesis directly, and
-    # the public blocks built from them, read back by two_level_to_gates
-    u = TWO_VIEW_INPUTS[name]
-    n = len(u).bit_length() - 1
-    compiled = matrix_to_circuit(u, optimize=False).gates
-    public = [g for e in two_level_decompose(u) for g in two_level_to_gates(e, n)]
-    assert [(g.kind, g.target, g.controls) for g in compiled] == [
-        (g.kind, g.target, g.controls) for g in public
-    ]
-    for a, b in zip(compiled, public):
-        if a.angle is not None:
-            period = TWO_PI if a.kind is GateKind.FCR1 else FOUR_PI
-            assert abs(math.remainder(a.angle - b.angle, period)) <= 1e-12
-
-
 def test_two_level_to_gates_reads_out_of_order_pairs_with_nonpositive_theta():
     # states 3 and 2 sit at Gray indices 2 and 3: elimination emits the
-    # X-conjugate there, whose Ry angle is -2*theta, and so does the public view
+    # X-conjugate there, whose Ry angle is -2*theta
     block = ry_matrix(0.8)
-    in_order = two_level_to_gates(TwoLevelUnitary(0, 1, block), 2)
-    out_of_order = two_level_to_gates(TwoLevelUnitary(2, 3, block), 2)
+    in_order = matrix_to_circuit(_two_level(0, 1, block, 2), optimize=False)
+    out_of_order = matrix_to_circuit(_two_level(2, 3, block, 2), optimize=False)
     ry = pytest.approx(0.8, abs=1e-15)
     assert [g.angle for g in in_order if g.kind is GateKind.FCRY] == [ry]
     assert [-g.angle for g in out_of_order if g.kind is GateKind.FCRY] == [ry]
-    for element in (TwoLevelUnitary(0, 1, block), TwoLevelUnitary(2, 3, block)):
-        got = _gates_matrix(two_level_to_gates(element, 2), 2)
-        assert np.abs(got - element.embedded(4)).max() <= 1e-15
+    for (s1, s2), circuit in (((0, 1), in_order), ((2, 3), out_of_order)):
+        got = circuit_matrix(circuit)
+        assert np.abs(got - _two_level(s1, s2, block, 2)).max() <= 1e-15

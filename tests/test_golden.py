@@ -20,14 +20,17 @@ per-wiring fragments.  Unlike compiler output, these hold plain and
 fully-controlled X, partial, single and empty controls, and rotations at
 zero or full-period angles.  Their digests depend on no linear algebra.
 
-``BLOCK_GOLDEN`` and ``SIMULATED_GOLDEN`` pin raw float64 bytes, recorded
-before elimination and simulation computed their 2x2 entries as Python
-scalars: every ``two_level_decompose`` block with its state pair (the golden
+``ANGLES_GOLDEN`` and ``SIMULATED_GOLDEN`` pin raw float64 bytes.
+``ANGLES_GOLDEN`` holds every ``two_level_angles`` entry: its state pair and
+its angles, or a marker for an exact X block.  Its inputs are the golden
 inputs above, a 5-qubit permutation for the swap branch and out-of-order Gray
 pairs, and a near-diagonal 5-qubit unitary with off-diagonal entries of 9e-11
-and 2e-10 around ``ZERO_THRESHOLD``), and ``circuit_matrix`` of
-``random_circuit`` soups and of a compiled circuit.  Unlike the text or
-``np.array_equal``, bytes tell ``0.0`` from ``-0.0``.
+and 2e-10 around ``ZERO_THRESHOLD``.  It was recorded before the 2x2-array
+view of the blocks was deleted, and replaced a digest of that view's bytes.
+``SIMULATED_GOLDEN``, recorded before simulation computed its 2x2 entries as
+Python scalars, holds ``circuit_matrix`` of ``random_circuit`` soups and of a
+compiled circuit.  Unlike the text or ``np.array_equal``, bytes tell ``0.0``
+from ``-0.0``.
 """
 
 import hashlib
@@ -43,7 +46,6 @@ from unisynth import (
     emit_qsharp,
     haar_random_unitary,
     matrix_to_circuit,
-    two_level_decompose,
 )
 from unisynth.twolevel import two_level_angles
 
@@ -210,36 +212,6 @@ BLOCK_INPUTS = {
     "near_diagonal_n5": _near_diagonal_n5(),
 }
 
-# name -> sha256 over every two_level_decompose block of (s1, s2, block bytes)
-BLOCK_GOLDEN = {
-    "block_diagonal_n4": "f260e232797b263f54f321bdcda5003f69bd2c5e24f79bdb0801bd56487c935f",
-    "controlled_u_n4": "dc0e3a11d8fe263aeb17b9099aba0ac77496ab7fa9c5fb6335dd8d27799f3a96",
-    "diagonal_phase_n4": "c0393f2b5dfe0853cde441c8142b237aa0b0a245fe85294af5c50fcdca649da1",
-    "haar_n1_seed42": "0f77e659d68909102eae223ce1e8b602b32f9f1a0a4481c6292f8f58315f1e4a",
-    "haar_n2_seed42": "7b6ba5ccb0cd1a167e2d97cdcea36ec6b376d45cc446e85818e5c7758a3d9dd4",
-    "haar_n3_seed42": "28877e396c83eb76fc908456da8b4c2f6465ec0d5c6d3c7c867cc4c49d29f7c7",
-    "haar_n4_seed42": "8f4f548fac8df0417166c6083f5ee2df7dc1c80aa25f68b6bf8186e8d7a90fa0",
-    "haar_n5_seed42": "c32fec3ecf578ef25c50a2d99bb3232896098d79a9bd25cf874f15c1c37fb142",
-    "haar_n6_seed42": "acf9d12985e2a6f201ed4bc6c122a7dfcbba7d42dd85d79d819a5f9023340e8f",
-    "near_diagonal_n5": "bd4f020741658ec09a5e84c6d7f2fbe2933917df03607e08449a0e0b61be39c6",
-    "permutation_n5": "bd0576f39ec9e556e416e23dd33a14409ed437a184c74202dae9674afe6edd86",
-}
-
-
-def _block_digest(matrix: np.ndarray) -> str:
-    h = hashlib.sha256()
-    for element in two_level_decompose(matrix):
-        h.update(f"{element.s1},{element.s2};".encode())
-        h.update(element.block.tobytes())
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("name", sorted(BLOCK_GOLDEN))
-def test_two_level_blocks_match_golden_digest(name):
-    # block bytes keep the sign of every zero, which the emitted text drops
-    assert _block_digest(BLOCK_INPUTS[name]) == BLOCK_GOLDEN[name]
-
-
 # name -> sha256 over every two_level_angles entry of (s1, s2, angle bytes),
 # with b"X" standing for an exact X block
 ANGLES_GOLDEN = {
@@ -266,7 +238,7 @@ def _angles_digest(matrix: np.ndarray) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(ANGLES_GOLDEN))
-def test_two_level_angles_match_golden_digest(name):
+def test_two_level_blocks_match_golden_digest(name):
     # angle bytes keep the sign of every zero, which the emitted text drops
     assert _angles_digest(BLOCK_INPUTS[name]) == ANGLES_GOLDEN[name]
 

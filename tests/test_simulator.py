@@ -8,14 +8,12 @@ from unisynth import (
     DimensionError,
     Gate,
     GateKind,
-    TwoLevelUnitary,
     circuit_matrix,
     gate_block,
     gate_matrix,
     haar_random_unitary,
     matrix_to_circuit,
     ry_matrix,
-    two_level_to_gates,
     verify,
 )
 from unisynth.simulator import default_verification_tol
@@ -102,9 +100,12 @@ def test_gate_matrix_bounds_check():
 
 
 def test_two_level_realization_matches_embedding():
-    element = TwoLevelUnitary(1, 5, haar_random_unitary(1, 77))
-    c = Circuit(3, tuple(two_level_to_gates(element, 3)))
-    assert np.linalg.norm(circuit_matrix(c) - element.embedded(8)) <= 1e-12
+    # states 5 and 4 are the last Gray pair: one X-wrapped chain with an R1
+    u = np.eye(8, dtype=np.complex128)
+    u[np.ix_([4, 5], [4, 5])] = haar_random_unitary(1, 77)
+    c = matrix_to_circuit(u, optimize=False)
+    assert any(g.kind is GateKind.FCR1 for g in c.gates)
+    assert np.linalg.norm(circuit_matrix(c) - u) <= 1e-12
 
 
 def test_concatenation_multiplies():

@@ -1,20 +1,19 @@
 """Gray-code reindexing, single-entry elimination, two-level decomposition."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from unisynth import (
-    TwoLevelUnitary,
     UnitarityError,
-    eliminate_entry,
     gray_code,
     gray_conjugate,
     gray_permutation,
     haar_random_unitary,
-    is_unitary,
-    reconstruct_matrix,
-    two_level_decompose,
 )
+from unisynth.twolevel import angles_block, two_level_angles
 
 from conftest import CNOT, SWAP_2Q
 
@@ -74,32 +73,51 @@ def test_gray_conjugate_rejects_unknown_direction():
         gray_conjugate(np.eye(2), "sideways")
 
 
+def _pair_unitary(a: complex, b: complex) -> np.ndarray:
+    # two qubits, first row (a, b, 0, 0): an SU(2) block on states 0 and 1,
+    # which are also Gray indices 0 and 1, so row 0 eliminates b against a
+    u = np.eye(4, dtype=np.complex128)
+    u[:2, :2] = [[a, b], [-np.conj(b), np.conj(a)]]
+    return u
+
+
+def _product(entries, dim: int) -> np.ndarray:
+    # the entries' blocks embedded at their state pairs, in application order
+    m = np.eye(dim, dtype=np.complex128)
+    for s1, s2, angles in entries:
+        g = np.eye(dim, dtype=np.complex128)
+        block = [[0, 1], [1, 0]] if angles is None else angles_block(*angles)
+        g[np.ix_([s1, s2], [s1, s2])] = block
+        m = g @ m
+    return m
+
+
 def test_eliminate_entry_identity_branch():
-    block, c = eliminate_entry(1.0, 0.0)
-    assert np.array_equal(block, np.eye(2))
-    assert c == 1.0
+    # b == 0 takes no rotation; only a leftover phase gets a (theta 0) block
+    assert two_level_angles(_pair_unitary(1.0, 0.0)) == []
+    a = np.exp(0.5j)
+    assert two_level_angles(_pair_unitary(a, 0.0)) == [(0, 1, (0.0, 0.0, 0.5, 0.0))]
 
 
 def test_eliminate_entry_swap_branch():
-    block, c = eliminate_entry(0.0, 1.0)
-    assert np.array_equal(block, np.array([[0, 1], [1, 0]]))
-    assert c == 1.0
+    u = np.eye(4, dtype=np.complex128)[[1, 0, 2, 3]]
+    assert two_level_angles(u) == [(0, 1, None)]
 
 
 def test_eliminate_entry_equal_weights():
     s = 1.0 / np.sqrt(2.0)
-    block, c = eliminate_entry(s, s)
-    # theta = pi/4, lam = 0, mu = pi
-    expected = np.array([[s, -s], [s, s]], dtype=complex)
-    assert np.allclose(block, expected, atol=1e-15)
-    assert abs(c - 1.0) <= 1e-15
+    u = _pair_unitary(s, s)
+    [(s1, s2, angles)] = two_level_angles(u)
+    assert (s1, s2) == (0, 1)
+    assert angles == pytest.approx((0.0, np.pi / 4, 0.0, 0.0), abs=1e-15)
+    assert np.allclose(angles_block(*angles), u[:2, :2], atol=1e-15)
 
 
 def test_eliminate_entry_threshold_behavior():
-    block, _ = eliminate_entry(1.0, 1e-11)
-    assert np.array_equal(block, np.eye(2))
-    block, _ = eliminate_entry(1e-11, 1.0)
-    assert np.array_equal(block, np.array([[0, 1], [1, 0]]))
+    # |b| at or below ZERO_THRESHOLD is skipped; |a| below it means a swap
+    eps = 1e-11
+    assert two_level_angles(_pair_unitary(np.cos(eps), np.sin(eps))) == []
+    assert two_level_angles(_pair_unitary(np.sin(eps), np.cos(eps)))[0] == (0, 1, None)
 
 
 def test_eliminate_entry_random_pairs():
@@ -107,69 +125,33 @@ def test_eliminate_entry_random_pairs():
     for _ in range(200):
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        block, c = eliminate_entry(a, b)
-        row = np.array([a, b]) @ block
-        assert abs(row[0] - c) <= 1e-12
-        assert abs(row[1]) <= 1e-12
-        assert is_unitary(block, 1e-12)
-        # generic branch: special unitary and real positive c
-        det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-        assert abs(det - 1.0) <= 1e-12
-        assert abs(c.imag) <= 1e-12
-        assert c.real > 0.0
-
-
-def test_two_level_unitary_validates_states():
-    block = np.eye(2)
-    with pytest.raises(ValueError):
-        TwoLevelUnitary(2, 1, block)
-    with pytest.raises(ValueError):
-        TwoLevelUnitary(1, 2, block)  # differ in two bits
-    with pytest.raises(ValueError):
-        TwoLevelUnitary(-1, 0, block)
-
-
-def test_two_level_unitary_validates_block():
-    with pytest.raises(UnitarityError):
-        TwoLevelUnitary(0, 1, np.array([[1, 0], [0, 2]]))
-    with pytest.raises(ValueError):
-        TwoLevelUnitary(0, 1, np.eye(3))
-
-
-def test_two_level_unitary_embedded_places_block():
-    block = np.array([[0, 1j], [1j, 0]])
-    m = TwoLevelUnitary(1, 3, block).embedded(4)
-    expected = np.eye(4, dtype=complex)
-    expected[1, 1] = 0
-    expected[3, 3] = 0
-    expected[1, 3] = 1j
-    expected[3, 1] = 1j
-    assert np.array_equal(m, expected)
-
-
-def test_two_level_unitary_changed_bit():
-    assert TwoLevelUnitary(1, 3, np.eye(2)).changed_bit == 1
-    assert TwoLevelUnitary(0, 4, np.eye(2)).changed_bit == 2
+        norm = np.hypot(abs(a), abs(b))
+        a, b = a / norm, b / norm
+        u = _pair_unitary(a, b)
+        [(s1, s2, angles)] = two_level_angles(u)
+        assert (s1, s2) == (0, 1)
+        # phi is exactly 0: every block but the last is special unitary
+        assert angles == (0.0, math.atan2(abs(b), abs(a)), cmath.phase(a), cmath.phase(b))
+        assert np.abs(angles_block(*angles) - u[:2, :2]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(1, 4))
 def test_decompose_identity_is_empty(n):
-    assert two_level_decompose(np.eye(1 << n)) == []
+    assert two_level_angles(np.eye(1 << n)) == []
 
 
 def test_decompose_single_qubit_diagonal():
     u = np.diag([1.0, np.exp(1j * np.pi / 3)])
-    elements = two_level_decompose(u)
-    assert len(elements) == 1
-    assert (elements[0].s1, elements[0].s2) == (0, 1)
-    assert np.allclose(elements[0].block, u, atol=1e-15)
+    [(s1, s2, angles)] = two_level_angles(u)
+    assert (s1, s2) == (0, 1)
+    assert np.allclose(angles_block(*angles), u, atol=1e-15)
 
 
 def test_decompose_generic_count_and_reconstruction():
     a = haar_random_unitary(2, 42)
-    elements = two_level_decompose(a)
-    assert len(elements) == 6  # d*(d-1)/2 for d=4
-    assert np.linalg.norm(reconstruct_matrix(elements, 4) - a) <= 1e-10
+    entries = two_level_angles(a)
+    assert len(entries) == 6  # d*(d-1)/2 for d=4
+    assert np.linalg.norm(_product(entries, 4) - a) <= 1e-10
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -177,25 +159,23 @@ def test_decompose_properties_over_seeds(n):
     dim = 1 << n
     for seed in range(10):
         a = haar_random_unitary(n, seed)
-        elements = two_level_decompose(a)
-        assert len(elements) == dim * (dim - 1) // 2
-        for element in elements[:-1]:
-            det = np.linalg.det(element.block)
-            assert abs(det - 1.0) <= 1e-10
-        assert np.linalg.norm(reconstruct_matrix(elements, dim) - a) <= 1e-8
+        entries = two_level_angles(a)
+        assert len(entries) == dim * (dim - 1) // 2
+        assert all(angles[0] == 0.0 for _, _, angles in entries[:-1])
+        assert np.linalg.norm(_product(entries, dim) - a) <= 1e-8
 
 
 def test_decompose_block_determinants_multiply_to_input_determinant():
+    # a block's determinant is exp(i phi), and -1 for an exact X
     a = haar_random_unitary(3, 9)
-    elements = two_level_decompose(a)
-    product = np.prod([np.linalg.det(e.block) for e in elements])
-    assert abs(product - np.linalg.det(a)) <= 1e-10
+    dets = [-1.0 if g is None else cmath.exp(1j * g[0]) for _, _, g in two_level_angles(a)]
+    assert abs(np.prod(dets) - np.linalg.det(a)) <= 1e-10
 
 
 @pytest.mark.parametrize("matrix", [CNOT, SWAP_2Q], ids=["cnot", "swap"])
 def test_decompose_handles_permutation_matrices(matrix):
-    elements = two_level_decompose(matrix)
-    assert np.linalg.norm(reconstruct_matrix(elements, 4) - matrix) <= 1e-12
+    entries = two_level_angles(matrix)
+    assert np.linalg.norm(_product(entries, 4) - matrix) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -203,16 +183,16 @@ def test_decompose_handles_sparse_diagonal_phases(n):
     # rows with exact zeros exercise the residual-phase repair path
     rng = np.random.default_rng(n)
     u = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << n)))
-    elements = two_level_decompose(u)
-    assert np.linalg.norm(reconstruct_matrix(elements, 1 << n) - u) <= 1e-12
+    entries = two_level_angles(u)
+    assert np.linalg.norm(_product(entries, 1 << n) - u) <= 1e-12
 
 
 def test_decompose_rejects_non_unitary():
     with pytest.raises(UnitarityError):
-        two_level_decompose(np.ones((4, 4)))
+        two_level_angles(np.ones((4, 4)))
 
 
 def test_decompose_pairs_differ_in_one_bit():
-    for element in two_level_decompose(haar_random_unitary(3, 2)):
-        assert (element.s1 ^ element.s2).bit_count() == 1
-        assert element.s1 < element.s2
+    for s1, s2, _ in two_level_angles(haar_random_unitary(3, 2)):
+        assert (s1 ^ s2).bit_count() == 1
+        assert s1 < s2
