@@ -15,8 +15,7 @@ A two-level unitary on states (s1, s2) differing in bit r becomes a rotation
 chain targeting qubit r, controlled on every other qubit, wrapped in X gates
 on the qubits where s1 has a 0 bit so the controls all test for 1.
 ``matrix_to_circuit`` builds each chain from the angles elimination computed
-(``two_level_angles``), forming no 2x2 block; ``two_level_to_gates`` reads a
-block's angles and shares the chain builder.  ``census`` tallies gates.
+(``two_level_angles``), forming no 2x2 block.  ``census`` tallies gates.
 
 Synthesis shares one X gate per qubit and one control tuple per target
 (``Gate`` is frozen) and builds rotation gates through ``trusted_gate``
@@ -36,7 +35,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .matrix import DimensionError, UnitarityError, is_unitary, num_qubits
-from .twolevel import TwoLevelUnitary, _zyz_angles, angles_block, two_level_angles
+from .twolevel import _zyz_angles, angles_block, two_level_angles
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -292,7 +291,8 @@ def _wiring(n: int) -> _Wiring:
 def _append_block(
     gates: list[Gate], wiring: _Wiring, s1: int, s2: int, angles: tuple | None
 ) -> None:
-    # one block's X-wrapped chain; ``angles`` None means exactly X
+    # one block's X-wrapped chain: Rz, Ry, Rz, R1 with identity-angle links
+    # skipped, or for ``angles`` None (exactly X) one FCX, plain X at n = 1
     r = (s1 ^ s2).bit_length() - 1
     # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves at 0
     before = wiring.wraps[s2]
@@ -312,29 +312,6 @@ def _append_block(
             if abs(angle) > IDENTITY_ANGLE_TOL:
                 gates.append(trusted_gate(kind, r, controls, angle))
     gates.extend(reversed(before))
-
-
-def two_level_to_gates(element: TwoLevelUnitary, n: int) -> list[Gate]:
-    """Realize one two-level unitary as fully-controlled gates plus X wraps.
-
-    The rotation chain targets the changed bit ``r`` with all other qubits
-    as controls.  Qubits where ``s1`` has a 0 bit get an X before (ascending
-    order) and after (descending order) so every control tests for 1.  A
-    block that is exactly X becomes a single FCX (plain X when ``n == 1``);
-    otherwise the chain is Rz, Ry, Rz, R1 with identity-angle links skipped.
-    The angles are ``zyz_decompose``'s, but with ``theta <= 0`` where the
-    pair's states run opposite to its Gray indices (odd parity of ``s1``
-    above bit ``r``), as elimination emits them: a ``two_level_decompose``
-    block gives the gates ``matrix_to_circuit`` emits for it.
-    """
-    if element.s2 >= (1 << n):
-        raise ValueError(f"state {element.s2} out of range for {n} qubits")
-    entries = element.block.ravel().tolist()
-    flip = (element.s1 >> (element.changed_bit + 1)).bit_count() % 2 == 1
-    angles = None if entries == [0, 1, 1, 0] else _zyz_angles(*entries, flip)
-    gates: list[Gate] = []
-    _append_block(gates, _wiring(n), element.s1, element.s2, angles)
-    return gates
 
 
 def matrix_to_circuit(

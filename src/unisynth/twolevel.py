@@ -14,22 +14,21 @@ an exact X block), in application order.  Zeroing ``b`` against ``a`` emits
 states run opposite to its Gray indices emits the X-conjugate,
 ``(0, -theta, -arg a, -arg b)``.  Neither these nor the rotation applied to
 the work matrix involve ``pi``, whose float is 1.2e-16 short and would bias
-every block alike.  ``matrix_to_circuit`` turns the angles into gates;
-``two_level_decompose`` makes ``TwoLevelUnitary`` blocks of them with one
-scalar formula (``angles_block``).  numpy runs once per row, to skip its
-trailing near-zero entries, and once per rotation, for the column update: a
-BLAS matmul, since an elementwise update rounds differently.
+every block alike.  ``matrix_to_circuit`` turns the angles into gates, and
+``angles_block`` multiplies a block's angles out into its 2x2 matrix.  numpy
+runs once per row, to skip its trailing near-zero entries, and once per
+rotation, for the column update: a BLAS matmul, since an elementwise update
+rounds differently.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import UnitarityError, is_unitary, num_qubits, validate_unitary
+from .matrix import num_qubits, validate_unitary
 
 # Entries at or below this magnitude are treated as exact zeros when picking
 # the elimination branch.
@@ -43,9 +42,7 @@ _PHASE_TOL = 1e-12
 # than this in Frobenius norm.
 _FINAL_IDENTITY_TOL = 1e-10
 
-X_BLOCK = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-
-# the identity and X blocks' entries, as np.eye and X_BLOCK hold them
+# the X block's entries; a phase block's off-diagonal is _ZERO too
 _ONE = complex(1.0, 0.0)
 _ZERO = complex(0.0, 0.0)
 
@@ -84,15 +81,13 @@ def gray_conjugate(matrix: np.ndarray, direction: str = "forward") -> np.ndarray
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _rotation(a: complex, b: complex, zero_threshold: float) -> tuple:
-    # scalar core of eliminate_entry and of elimination: the rotation's
-    # entries, c, and (theta, arg a, arg b), None for identity and swap
+def _rotation(a: complex, b: complex, abs_b: float) -> tuple:
+    # the rotation (row-major entries) that zeroes b against a, whose
+    # magnitude abs_b is above ZERO_THRESHOLD, and (theta, arg a, arg b);
+    # None in their place for the X block, when a is at or below it
     abs_a = abs(a)
-    abs_b = abs(b)
-    if abs_b <= zero_threshold:
-        return (_ONE, _ZERO, _ZERO, _ONE), a, None
-    if abs_a <= zero_threshold:
-        return (_ZERO, _ONE, _ONE, _ZERO), b, None
+    if abs_a <= ZERO_THRESHOLD:
+        return (_ZERO, _ONE, _ONE, _ZERO), None
     theta = math.atan2(abs_b, abs_a)
     arg_a = cmath.phase(a)
     arg_b = cmath.phase(b)
@@ -102,29 +97,8 @@ def _rotation(a: complex, b: complex, zero_threshold: float) -> tuple:
     eb = cmath.exp(1j * arg_b)
     return (
         (cos_t * ea.conjugate(), -sin_t * eb, sin_t * eb.conjugate(), cos_t * ea),
-        complex(cos_t * (abs_a + abs_b**2 / abs_a)),
         (theta, arg_a, arg_b),
     )
-
-
-def eliminate_entry(
-    a: complex, b: complex, zero_threshold: float = ZERO_THRESHOLD
-) -> tuple[np.ndarray, complex]:
-    """Find a 2x2 unitary ``block`` with ``(a, b) @ block == (c, 0)``.
-
-    Branches:
-    - ``|b| <= zero_threshold``: identity block, ``c = a``.
-    - ``|a| <= zero_threshold``: swap block, ``c = b``.
-    - otherwise ``[[c_t*conj(ea), -s_t*eb], [s_t*conj(eb), c_t*ea]]`` with
-      ``c_t, s_t = cos, sin(theta)``, ``theta = atan2(|b|, |a|)``,
-      ``ea = exp(i arg a)`` and ``eb = exp(i arg b)``: a special unitary,
-      written without ``pi``, which makes ``c`` real and positive.
-
-    Returns:
-        ``(block, c)``.
-    """
-    entries, c, _ = _rotation(complex(a), complex(b), zero_threshold)
-    return np.array(entries, dtype=np.complex128).reshape(2, 2), c
 
 
 def _zyz_angles(
@@ -154,45 +128,6 @@ def angles_block(phi: float, theta: float, lam: float, mu: float) -> np.ndarray:
     u10 = -sin_t * e_phi * e_mu.conjugate()
     u11 = cos_t * e_phi * e_lam.conjugate()
     return np.array([[cos_t * e_lam, sin_t * e_mu], [u10, u11]], dtype=np.complex128)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoLevelUnitary:
-    """A 2x2 unitary acting on basis states ``s1 < s2`` one bit apart."""
-
-    s1: int
-    s2: int
-    block: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.s1 < self.s2:
-            raise ValueError(f"need 0 <= s1 < s2, got ({self.s1}, {self.s2})")
-        if (self.s1 ^ self.s2).bit_count() != 1:
-            raise ValueError(
-                f"states ({self.s1}, {self.s2}) must differ in exactly one bit"
-            )
-        block = np.array(self.block, dtype=np.complex128)
-        if block.shape != (2, 2):
-            raise ValueError(f"block must be 2x2, got shape {block.shape}")
-        if not is_unitary(block, 1e-10):
-            raise UnitarityError("two-level block is not unitary")
-        object.__setattr__(self, "block", block)
-
-    @property
-    def changed_bit(self) -> int:
-        """Index of the single bit in which s1 and s2 differ."""
-        return (self.s1 ^ self.s2).bit_length() - 1
-
-    def embedded(self, dim: int) -> np.ndarray:
-        """Identity of size ``dim`` with the block spliced in at (s1, s2)."""
-        if dim <= self.s2:
-            raise ValueError(f"dimension {dim} too small for state {self.s2}")
-        m = np.eye(dim, dtype=np.complex128)
-        m[self.s1, self.s1] = self.block[0, 0]
-        m[self.s1, self.s2] = self.block[0, 1]
-        m[self.s2, self.s1] = self.block[1, 0]
-        m[self.s2, self.s2] = self.block[1, 1]
-        return m
 
 
 def two_level_angles(
@@ -228,9 +163,10 @@ def two_level_angles(
         last = row + 1 + int(live[-1]) if live.size else row
         for col in range(last, row, -1):
             b = work.item(row, col)
-            if abs(b) <= ZERO_THRESHOLD:
+            abs_b = abs(b)
+            if abs_b <= ZERO_THRESHOLD:
                 continue
-            entries, _, angles = _rotation(work.item(row, col - 1), b, ZERO_THRESHOLD)
+            entries, angles = _rotation(work.item(row, col - 1), b, abs_b)
             rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = entries
             work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
             # the emitted block is the rotation's conjugate transpose
@@ -261,23 +197,3 @@ def two_level_angles(
         out.append((s1, s2, None if exact_x else _zyz_angles(*corner, sign < 0)))
     return out
 
-
-def two_level_decompose(
-    matrix: np.ndarray, tol: float | None = None
-) -> list[TwoLevelUnitary]:
-    """``two_level_angles``' blocks as ``TwoLevelUnitary`` elements (same args).
-
-    Their ``embedded`` matrices multiplied last-to-first give the input.
-    """
-    return [
-        TwoLevelUnitary(s1, s2, X_BLOCK if angles is None else angles_block(*angles))
-        for s1, s2, angles in two_level_angles(matrix, tol)
-    ]
-
-
-def reconstruct_matrix(elements: list[TwoLevelUnitary], dim: int) -> np.ndarray:
-    """Product of the elements' embeddings in application order."""
-    m = np.eye(dim, dtype=np.complex128)
-    for element in elements:
-        m = element.embedded(dim) @ m
-    return m
