@@ -32,7 +32,7 @@ from .circuit import (
 
 JSON_IR_VERSION = 1
 
-_IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _QUBIT_ORDER_NOTE = (
     "qubit j is bit j of the basis-state index (little-endian: the"
@@ -51,24 +51,15 @@ class CircuitFormatError(ValueError):
 def _statements(
     gates: Iterable[Gate],
     statement: Callable[[GateKind, int, tuple[int, ...], str], str],
-    precision: int,
     negate: bool,
 ) -> list[str]:
     """The text of each gate, from fragments rendered once per wiring.
 
     ``statement(kind, target, controls, angle_text)`` renders one gate.
-    Angles get 17 significant digits (shortest repr, exact round trip) at
-    ``precision >= 17``, else ``precision`` digits.  With ``negate``, Ry and
-    Rz angles are emitted negated.
+    Angles are written as their shortest repr, which round-trips exactly.
+    With ``negate``, Ry and Rz angles are emitted negated.
     """
-    if precision >= 17:
-        angle_text = float.__repr__
-    else:
-        spec = f".{precision}g"
-
-        def angle_text(value: float) -> str:
-            return format(value, spec)
-
+    angle_text = float.__repr__
     fragments: dict = {}
     out: list[str] = []
     append = out.append
@@ -93,19 +84,15 @@ def _statements(
     return out
 
 
-def emit_qsharp(
-    circuit: Circuit,
-    operation_name: str = "ApplyUnitary",
-    angle_precision: int = 17,
-) -> str:
+def emit_qsharp(circuit: Circuit, operation_name: str = "ApplyUnitary") -> str:
     """Render the circuit as a Q# operation taking a qubit array."""
-    if not _IDENTIFIER_RE.match(operation_name):
+    if not _IDENTIFIER_RE.fullmatch(operation_name):
         raise ValueError(f"invalid Q# operation name: {operation_name!r}")
     lines = [
         f"// Circuit on {circuit.n} qubit(s); {_QUBIT_ORDER_NOTE}.",
         f"operation {operation_name}(qs : Qubit[]) : Unit is Adj + Ctl {{",
     ]
-    lines += _statements(circuit.gates, _qsharp_statement, angle_precision, True)
+    lines += _statements(circuit.gates, _qsharp_statement, True)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -125,7 +112,7 @@ def _qsharp_statement(
     return f"    Controlled {name}([{control_list}], ({angle}, {qubit}));"
 
 
-def emit_qasm3(circuit: Circuit, angle_precision: int = 17) -> str:
+def emit_qasm3(circuit: Circuit) -> str:
     """Render the circuit as an OpenQASM 3 program over register ``q``."""
     lines = [
         "OPENQASM 3.0;",
@@ -133,7 +120,7 @@ def emit_qasm3(circuit: Circuit, angle_precision: int = 17) -> str:
         f"// {_QUBIT_ORDER_NOTE}",
         f"qubit[{circuit.n}] q;",
     ]
-    lines += _statements(circuit.gates, _qasm3_statement, angle_precision, True)
+    lines += _statements(circuit.gates, _qasm3_statement, True)
     return "\n".join(lines) + "\n"
 
 
@@ -159,7 +146,7 @@ def emit_json(circuit: Circuit) -> str:
     The text equals ``json.dumps`` of the document
     ``{"version", "n", "gates": [{"kind", "target", "controls"[, "angle"]}]}``.
     """
-    entries = _statements(circuit.gates, _json_entry, 17, False)
+    entries = _statements(circuit.gates, _json_entry, False)
     envelope = json.dumps({"version": JSON_IR_VERSION, "n": circuit.n, "gates": []})
     # the envelope ends in the empty gate list "[]}"
     return envelope[:-2] + ", ".join(entries) + envelope[-2:]

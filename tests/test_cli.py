@@ -80,6 +80,27 @@ def test_decompose_custom_operation_name(matrix_file, capsys):
     assert "operation MyOp" in capsys.readouterr().out
 
 
+def test_decompose_operation_name_with_trailing_newline_is_input_error(
+    matrix_file, capsys
+):
+    path = matrix_file(np.eye(2))
+    assert main(["decompose", "-i", path, "--name", "Op\n"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid Q# operation name" in captured.err
+
+
+def test_decompose_tol_sets_only_the_input_tolerance(tmp_path, capsys):
+    # 2*I has residual 3*sqrt(2), inside --tol 10, so it compiles (to an empty
+    # circuit); verification keeps its own 1e-8 threshold and fails at sqrt(2)
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1, "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}')
+    assert main(["decompose", "-i", str(path), "--tol", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "verification FAILED: frobenius=1.414e+00" in err
+    assert "tol=1.0e-08" in err
+
+
 def test_decompose_no_optimize_keeps_more_gates(matrix_file, tmp_path):
     path = matrix_file(haar_random_unitary(3, 1))
     raw_path = tmp_path / "raw.json"

@@ -99,12 +99,11 @@ def test_qsharp_rejects_bad_operation_name():
         emit_qsharp(Circuit(1, ()), operation_name="has space")
 
 
-def test_qsharp_angle_precision():
-    c = Circuit(1, (Gate(GateKind.FCR1, 0, (), math.pi / 3),))
-    full = emit_qsharp(c)
-    short = emit_qsharp(c, angle_precision=6)
-    assert "1.0471975511965976" in full
-    assert "1.0472" in short
+@pytest.mark.parametrize("name", ["Foo\n", "Foo\r\n", "Foo\nBar", ""])
+def test_qsharp_rejects_operation_name_with_line_break(name):
+    # a trailing newline once passed and broke the operation header
+    with pytest.raises(ValueError, match="invalid Q# operation name"):
+        emit_qsharp(Circuit(1, ()), operation_name=name)
 
 
 def test_qsharp_deterministic():

@@ -174,16 +174,6 @@ def test_random_circuit_text_matches_golden_digest(n):
     assert tuple(_sha256(t) for t in texts) == RANDOM_GOLDEN[n]
 
 
-def test_random_circuit_text_at_reduced_precision_matches_golden_digest():
-    circuit = random_circuit(np.random.default_rng(7003), 3, 200)
-    qasm3 = emit_qasm3(circuit, angle_precision=8)
-    qsharp = emit_qsharp(circuit, "Op", angle_precision=8)
-    assert (_sha256(qasm3), _sha256(qsharp)) == (
-        "f176b3b7b252cf0493423dca11de32d2006576a72fd9320c2ba8c9eeeded0d36",
-        "245296151d19cd4cf72a6272606c712392b685c58aba6356cb5ab4ab7f32fba0",
-    )
-
-
 def _permutation_n5() -> np.ndarray:
     perm = np.random.default_rng(2026).permutation(32)
     return np.eye(32, dtype=np.complex128)[perm]
