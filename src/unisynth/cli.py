@@ -13,12 +13,14 @@ from pathlib import Path
 from .circuit import GateCensus, census, matrix_to_circuit
 from .emitters import (
     CircuitFormatError,
+    check_operation_name,
     emit_json,
     emit_qasm3,
     emit_qsharp,
     parse_json,
 )
-from .matrix import QUBIT_LIMIT, check_tolerance, haar_random_unitary, load_matrix
+from .matrix import QUBIT_LIMIT, check_tolerance, haar_random_unitary
+from .matrix import load_matrix, validate_unitary
 from .simulator import default_verification_tol, verify
 
 
@@ -50,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--no-optimize",
         action="store_true",
-        help="skip the X-cancellation and identity-rotation passes",
+        help="skip the peephole passes (only X-pair cancellation changes a "
+        "compiled circuit)",
     )
     dec.add_argument(
         "--tol",
@@ -84,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_matrix(path: str, tol: float | None = None):
+def _read_matrix(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read matrix file: {exc}") from None
     try:
-        return load_matrix(text, tol)
+        return load_matrix(text)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -103,7 +106,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.input, args.tol)
+    if args.backend == "qsharp":
+        check_operation_name(args.name)
+    matrix = _read_matrix(args.input)
     circuit = matrix_to_circuit(matrix, optimize=not args.no_optimize, tol=args.tol)
     if args.backend == "qsharp":
         text = emit_qsharp(circuit, operation_name=args.name)
@@ -130,7 +135,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.input)
+    matrix = validate_unitary(_read_matrix(args.input))
     try:
         text = Path(args.circuit).read_text(encoding="utf-8")
     except OSError as exc:

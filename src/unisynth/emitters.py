@@ -84,10 +84,15 @@ def _statements(
     return out
 
 
+def check_operation_name(name: str) -> None:
+    """Raise ValueError unless ``name`` is a valid Q# operation name."""
+    if not _IDENTIFIER_RE.fullmatch(name):
+        raise ValueError(f"invalid Q# operation name: {name!r}")
+
+
 def emit_qsharp(circuit: Circuit, operation_name: str = "ApplyUnitary") -> str:
     """Render the circuit as a Q# operation taking a qubit array."""
-    if not _IDENTIFIER_RE.fullmatch(operation_name):
-        raise ValueError(f"invalid Q# operation name: {operation_name!r}")
+    check_operation_name(operation_name)
     lines = [
         f"// Circuit on {circuit.n} qubit(s); {_QUBIT_ORDER_NOTE}.",
         f"operation {operation_name}(qs : Qubit[]) : Unit is Adj + Ctl {{",
@@ -167,8 +172,8 @@ def parse_json(text: str | bytes) -> Circuit:
     """Parse circuit JSON produced by ``emit_json``.
 
     Raises:
-        CircuitFormatError: malformed JSON, unsupported version, unknown gate
-        kind, or fields that violate the gate invariants.
+        CircuitFormatError: malformed or too deeply nested JSON, unsupported
+        version, unknown gate kind, or fields that violate the gate invariants.
     """
     try:
         doc = json.loads(text)
@@ -176,6 +181,8 @@ def parse_json(text: str | bytes) -> Circuit:
         raise CircuitFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise CircuitFormatError("JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise CircuitFormatError("expected a JSON object at top level")
     if doc.get("version") != JSON_IR_VERSION:

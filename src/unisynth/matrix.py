@@ -158,16 +158,14 @@ def save_matrix(matrix: np.ndarray) -> str:
     return json.dumps({"n": n, "matrix": rows})
 
 
-def load_matrix(text: str | bytes, tol: float | None = None) -> np.ndarray:
-    """Parse and validate a matrix from the JSON matrix format.
+def load_matrix(text: str | bytes) -> np.ndarray:
+    """Parse the JSON matrix format; finiteness and unitarity are unchecked.
 
     Raises:
-        MatrixFormatError: malformed JSON, wrong document structure, an entry
-            that is not a pair of JSON numbers (``true``/``false`` are not
-            numbers), or a number too large for a float.
+        MatrixFormatError: malformed or too deeply nested JSON, wrong
+            document structure, an entry that is not a pair of JSON numbers
+            (``true``/``false`` are not numbers), or a number too large.
         DimensionError: dimension not 2**n or inconsistent with "n".
-        UnitarityError: a NaN or infinite entry (JSON ``NaN``/``Infinity``
-            tokens), or unitarity residual above ``tol`` (default 1e-8 * dim).
     """
     try:
         doc = json.loads(text)
@@ -175,6 +173,8 @@ def load_matrix(text: str | bytes, tol: float | None = None) -> np.ndarray:
         raise MatrixFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise MatrixFormatError("JSON is nested too deeply") from None
     if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
         raise MatrixFormatError('expected an object with "n" and "matrix" keys')
     n = doc["n"]
@@ -207,4 +207,4 @@ def load_matrix(text: str | bytes, tol: float | None = None) -> np.ndarray:
     except OverflowError:
         raise MatrixFormatError("an entry is too large for a float") from None
     # (re, im) float pairs have complex128's memory layout
-    return validate_unitary(pairs.view(np.complex128).reshape(dim, dim), tol)
+    return pairs.view(np.complex128).reshape(dim, dim)

@@ -306,6 +306,18 @@ def test_matrix_to_circuit_rejects_nan_matrix():
         matrix_to_circuit(np.full((2, 2), np.nan))
 
 
+def test_matrix_to_circuit_reports_unitarity_residual():
+    with pytest.raises(UnitarityError, match=r"residual 1\.768e\+00"):
+        matrix_to_circuit(np.eye(2) * 1.5)
+
+
+def test_matrix_to_circuit_tolerance_override():
+    m = np.eye(2) + 1e-5
+    with pytest.raises(UnitarityError):
+        matrix_to_circuit(m)
+    assert matrix_to_circuit(m, tol=1e-2).n == 1
+
+
 def _sparse_unitary(n, seed):
     """Block-diagonal unitary (blocks of 2**k, k = 0 gives phases), rows permuted."""
     rng = np.random.default_rng(seed)

@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unisynth import haar_random_unitary, parse_json, save_matrix, verify
+from unisynth import (
+    emit_json,
+    haar_random_unitary,
+    matrix_to_circuit,
+    parse_json,
+    save_matrix,
+    verify,
+)
 from unisynth.cli import GateCensus, census, main
 
 
@@ -314,8 +321,14 @@ def test_bad_tol_is_input_error(matrix_file, tmp_path, capsys, command, tol):
 
 @pytest.mark.parametrize(
     "entry, message",
-    [("[true, 0]", "entry (0, 1)"), (f"[1{'0' * 400}, 0]", "too large for a float")],
-    ids=["boolean", "huge-integer"],
+    [
+        ("[true, 0]", "entry (0, 1)"),
+        (f"[1{'0' * 400}, 0]", "too large for a float"),
+        ("[0, NaN]", "NaN or infinite"),
+        ("[0, Infinity]", "NaN or infinite"),
+        ("[0, -Infinity]", "NaN or infinite"),
+    ],
+    ids=["boolean", "huge-integer", "NaN", "Infinity", "-Infinity"],
 )
 @pytest.mark.parametrize("command", ["decompose", "verify"])
 def test_bad_matrix_number_is_input_error(tmp_path, capsys, command, entry, message):
@@ -330,6 +343,73 @@ def test_bad_matrix_number_is_input_error(tmp_path, capsys, command, entry, mess
         argv += ["-c", str(circuit_path)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, nested",
+    [("decompose", "matrix"), ("verify", "matrix"), ("verify", "circuit")],
+)
+def test_deeply_nested_json_is_input_error(matrix_file, tmp_path, capsys, command, nested):
+    # json.loads raises RecursionError, not a ValueError, on deep nesting
+    deep = "[" * 100_000
+    path = matrix_file(np.eye(2))
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text('{"version": 1, "n": 1, "gates": []}', encoding="utf-8")
+    if nested == "matrix":
+        Path(path).write_text(deep, encoding="utf-8")
+    else:
+        circuit_path.write_text(f'{{"version": 1, "n": 1, "gates": {deep}', encoding="utf-8")
+    argv = [command, "-i", path]
+    if command == "verify":
+        argv += ["-c", str(circuit_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", "--backend", backend] for backend in ("qsharp", "qasm3", "json")]
+    + [["verify"]],
+    ids=["decompose-qsharp", "decompose-qasm3", "decompose-json", "verify"],
+)
+def test_each_command_validates_the_matrix_once(matrix_file, tmp_path, monkeypatch, argv):
+    import unisynth.cli
+    import unisynth.matrix
+    import unisynth.twolevel
+
+    a = haar_random_unitary(2, 3)
+    argv = [*argv, "-i", matrix_file(a)]
+    if argv[0] == "decompose":
+        argv += ["-o", str(tmp_path / "out")]
+    else:
+        circuit_path = tmp_path / "c.json"
+        circuit_path.write_text(emit_json(matrix_to_circuit(a)), encoding="utf-8")
+        argv += ["-c", str(circuit_path)]
+    original = unisynth.matrix.validate_unitary
+    calls = []
+
+    def counted(matrix, tol=None):
+        calls.append(tol)
+        return original(matrix, tol)
+
+    # raising=False: the count holds whichever of these modules import the name
+    for module in (unisynth.matrix, unisynth.twolevel, unisynth.cli):
+        monkeypatch.setattr(module, "validate_unitary", counted, raising=False)
+    assert main(argv) == 0
+    # once, at the default tolerance: verify's --tol is the pass threshold
+    assert calls == [None]
+
+
+def test_decompose_checks_operation_name_before_compiling(matrix_file, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("compiled before the name was checked")
+
+    monkeypatch.setattr("unisynth.cli.matrix_to_circuit", never)
+    path = matrix_file(np.eye(2))
+    assert main(["decompose", "-i", path, "--name", "1Op"]) == 2
+    assert "invalid Q# operation name" in capsys.readouterr().err
 
 
 def test_verify_boolean_angle_is_input_error(matrix_file, tmp_path, capsys):

@@ -163,21 +163,13 @@ def test_load_rejects_ragged_rows():
         load_matrix(text)
 
 
-def test_load_reports_unitarity_residual():
-    m = np.eye(2, dtype=complex) * 1.5
-    rows = [[[z.real, z.imag] for z in row] for row in m]
-    text = json.dumps({"n": 1, "matrix": rows})
-    with pytest.raises(UnitarityError, match="residual"):
-        load_matrix(text)
-
-
-def test_load_tolerance_override():
-    m = np.eye(2) + 1e-5
-    rows = [[[float(z.real), 0.0] for z in row] for row in m]
-    text = json.dumps({"n": 1, "matrix": rows})
-    with pytest.raises(UnitarityError):
-        load_matrix(text)
-    assert load_matrix(text, tol=1e-2) is not None
+def test_load_returns_non_unitary_matrix_unchanged():
+    # load_matrix only parses; matrix_to_circuit and the verify command check
+    # unitarity
+    text = '{"n": 1, "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}'
+    loaded = load_matrix(text)
+    assert loaded.dtype == np.complex128
+    assert np.array_equal(loaded, 2 * np.eye(2))
 
 
 def _with_entry(value):
@@ -202,20 +194,11 @@ def test_validate_unitary_rejects_non_finite_entries(matrix):
         validate_unitary(matrix, tol=1e300)
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-def test_load_rejects_non_finite_json_tokens(token):
-    text = f'{{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, {token}], [1.0, 0.0]]]}}'
-    with pytest.raises(UnitarityError, match="NaN or infinite"):
-        load_matrix(text)
-
-
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_validate_unitary_rejects_bad_tolerance(tol):
     # a NaN tolerance would otherwise accept any matrix: residual > nan is False
     with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
         validate_unitary(np.full((2, 2), 5.0), tol)
-    with pytest.raises(ValueError, match="tolerance"):
-        load_matrix(save_matrix(np.eye(2)), tol)
 
 
 def _identity_doc(entry01):
