@@ -20,6 +20,10 @@ per-wiring fragments.  Unlike compiler output, these hold plain and
 fully-controlled X, partial, single and empty controls, and rotations at
 zero or full-period angles.  Their digests depend on no linear algebra.
 
+``RAW_GOLDEN`` pins ``emit_json`` of the same inputs compiled with
+``optimize=False``, recorded before the identity-rotation peephole pass was
+deleted; ``GOLDEN`` sees only optimized output.
+
 ``ANGLES_GOLDEN`` and ``SIMULATED_GOLDEN`` pin raw float64 bytes.
 ``ANGLES_GOLDEN`` holds every ``two_level_angles`` entry: its state pair and
 its angles, or a marker for an exact X block.  Its inputs are the golden
@@ -124,12 +128,37 @@ def _inputs() -> dict[str, np.ndarray]:
 INPUTS = _inputs()
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_emitted_text_matches_golden_digest(name):
     circuit = matrix_to_circuit(INPUTS[name])
     texts = (emit_json(circuit), emit_qasm3(circuit), emit_qsharp(circuit))
     digests = tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
     assert digests == GOLDEN[name]
+
+
+# name -> sha256 of emit_json of matrix_to_circuit(..., optimize=False)
+RAW_GOLDEN = {
+    "block_diagonal_n4": "44590bdad41be3d4207bc1934aad8d5d11863eda8243ca0e6777bf684b862afc",
+    "controlled_u_n4": "97f2fdf464a7414845893ca3f484a7eced7f9b7dc77d3c73728496cba8be68c0",
+    "diagonal_phase_n4": "aa244d2fdbf6a9643d6fa6e823e6955a6960fcebff06460cda568f2eb44d1d59",
+    "haar_n1_seed42": "6ada385c0d80a1bb83b7801526f63c0ab7d9fdb27fc82f55156e01de0e64e815",
+    "haar_n2_seed42": "50e733fae8499826503ffe3328fbf57a9869a8770073cc39233ebdddbf70e207",
+    "haar_n3_seed42": "faac4a8ebc06191d8143e64eb1d9dfaacd73cd65888151eba42809cf25e1fb1e",
+    "haar_n4_seed42": "cfa654c3fd55fd81e9a2f68871b14ffcaf1916b23bcf11b4351a19dd333cba5c",
+    "haar_n5_seed42": "9b32a66d7632f9621a925d08ceaff47f5014b8cd7a37f68b8ba9b4e1e158aede",
+    "haar_n6_seed42": "1f0112801f483c556692e92e4345d5d72da0c96d1d6b596edb18983e106dc2fa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_GOLDEN))
+def test_raw_circuit_matches_golden_digest(name):
+    # the unoptimized pipeline (--no-optimize); at n = 1, 2 it equals GOLDEN's
+    circuit = matrix_to_circuit(INPUTS[name], optimize=False)
+    assert _sha256(emit_json(circuit)) == RAW_GOLDEN[name]
 
 
 # n -> sha256 of (emit_json, emit_qasm3, emit_qsharp) of
@@ -161,10 +190,6 @@ RANDOM_GOLDEN = {
         "241c0e5c6c6c11d7dff1bcfccb64494b83c1c8db80a10f7c5758a43bbee025c4",
     ),
 }
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("n", sorted(RANDOM_GOLDEN))
