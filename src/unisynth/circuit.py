@@ -28,20 +28,21 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .matrix import DimensionError, UnitarityError, is_unitary, num_qubits
-from .twolevel import _zyz_angles, angles_block, two_level_angles
+from .matrix import num_qubits
+from .twolevel import two_level_angles
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 # Rotations with a normalized angle at or below this magnitude act as the
-# identity and are dropped.
+# identity; synthesis leaves them out.
 IDENTITY_ANGLE_TOL = 1e-12
 
 
@@ -64,6 +65,14 @@ def normalize_angle(angle: float, period: float) -> float:
     return reduced
 
 
+def _qubit(index: object) -> int:
+    # an exact integer index: Python and numpy ints pass, any float raises
+    try:
+        return operator.index(index)
+    except TypeError:
+        raise ValueError(f"qubit index must be an integer, got {index!r}") from None
+
+
 def check_wiring(
     kind: GateKind, target: int, controls: tuple[int, ...]
 ) -> tuple[int, ...]:
@@ -74,7 +83,7 @@ def check_wiring(
     """
     if target < 0:
         raise ValueError(f"target must be nonnegative, got {target}")
-    controls = tuple(sorted(int(q) for q in controls))
+    controls = tuple(sorted(_qubit(q) for q in controls))
     if len(set(controls)) != len(controls):
         raise ValueError(f"duplicate control qubits: {controls}")
     if target in controls:
@@ -118,7 +127,7 @@ class Gate:
 
     def __post_init__(self) -> None:
         kind = GateKind(self.kind)
-        target = int(self.target)
+        target = _qubit(self.target)
         controls = check_wiring(kind, target, self.controls)
         angle = check_angle(kind, self.angle)
         _set_kind(self, kind)
@@ -235,36 +244,6 @@ def r1_matrix(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * angle)]], dtype=np.complex128)
 
 
-class ZYZAngles(NamedTuple):
-    """Factorization U = R1(phi) Rz(lam+mu) Ry(2*theta) Rz(lam-mu)."""
-
-    phi: float
-    theta: float
-    lam: float
-    mu: float
-
-
-def zyz_decompose(matrix: np.ndarray) -> ZYZAngles:
-    """Factor a 2x2 unitary into the R1/Rz/Ry/Rz angle tuple.
-
-    phi is the determinant phase; the remaining angles come from the special
-    unitary R1(-phi) @ U, with ``theta = atan2(|u01|, |u00|)`` in
-    ``[0, pi/2]``.  Zero entries yield zero phase angles, so diagonal and
-    antidiagonal inputs produce canonical forms.
-    """
-    u = np.asarray(matrix, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, 1e-10):
-        raise UnitarityError("zyz_decompose requires a unitary matrix")
-    return ZYZAngles(*_zyz_angles(*u.ravel().tolist()))
-
-
-def zyz_reconstruct(angles: ZYZAngles) -> np.ndarray:
-    """Multiply the factorization back out (inverse of ``zyz_decompose``)."""
-    return angles_block(*angles)
-
-
 class _Wiring(NamedTuple):
     """What synthesis on ``n`` qubits needs of each target and state."""
 
@@ -321,7 +300,7 @@ def matrix_to_circuit(
 
     Args:
         matrix: unitary of dimension ``2**n`` with ``n <= 9``.
-        optimize: run the peephole passes on the result (default True).
+        optimize: cancel X pairs in the result (default True).
         tol: unitarity tolerance override for input validation.
 
     Returns:

@@ -52,8 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--no-optimize",
         action="store_true",
-        help="skip the peephole passes (only X-pair cancellation changes a "
-        "compiled circuit)",
+        help="skip X-pair cancellation",
     )
     dec.add_argument(
         "--tol",

@@ -185,9 +185,11 @@ def parse_json(text: str | bytes) -> Circuit:
         raise CircuitFormatError("JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise CircuitFormatError("expected a JSON object at top level")
-    if doc.get("version") != JSON_IR_VERSION:
+    version = doc.get("version")
+    # true and 1.0 compare equal to 1: the version must be exactly an int
+    if type(version) is not int or version != JSON_IR_VERSION:
         raise CircuitFormatError(
-            f"unsupported version {doc.get('version')!r}, expected {JSON_IR_VERSION}"
+            f"unsupported version {version!r}, expected {JSON_IR_VERSION}"
         )
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):

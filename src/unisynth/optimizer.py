@@ -1,34 +1,18 @@
-"""Peephole passes that shrink a circuit without changing its matrix.
+"""The peephole pass that shrinks a circuit without changing its matrix.
 
-Two rewrites, both exact:
-- rotations whose normalized angle is zero are dropped;
-- within each maximal run of consecutive X gates, same-qubit pairs cancel.
-  X gates on distinct qubits commute, so only the per-qubit parity of a run
-  matters; qubits with odd parity keep one X at their first position in the
-  run.
+Within each maximal run of consecutive X gates, same-qubit pairs cancel.  X
+gates on distinct qubits commute, so only the per-qubit parity of a run
+matters; qubits with odd parity keep one X at their first position in the
+run.  The rewrite is exact.
 
-``optimize`` runs each pass once, dropping first so the X runs on either
-side of a dropped rotation merge before cancelling.  Cancelling never
-creates an identity rotation and never joins two runs, so a second round
-would change nothing: ``optimize`` is idempotent.
+Synthesis already leaves out identity rotations, so X-pair cancellation is
+the one pass.  It removes only X gates and keeps every other gate, so it
+never joins two runs: ``optimize`` is idempotent.
 """
 
 from __future__ import annotations
 
-from .circuit import IDENTITY_ANGLE_TOL, Circuit, Gate, GateKind
-
-
-def drop_identity_gates(circuit: Circuit) -> Circuit:
-    """Remove rotations that act as the identity after angle normalization."""
-    # only rotations carry an angle (X and FCX hold None)
-    kept = [
-        gate
-        for gate in circuit.gates
-        if gate.angle is None or abs(gate.angle) > IDENTITY_ANGLE_TOL
-    ]
-    if len(kept) == len(circuit.gates):
-        return circuit
-    return Circuit(circuit.n, tuple(kept))
+from .circuit import Circuit, Gate, GateKind
 
 
 def cancel_x_pairs(circuit: Circuit) -> Circuit:
@@ -59,5 +43,5 @@ def cancel_x_pairs(circuit: Circuit) -> Circuit:
 
 
 def optimize(circuit: Circuit) -> Circuit:
-    """Drop identity rotations, then cancel X pairs."""
-    return cancel_x_pairs(drop_identity_gates(circuit))
+    """Run the peephole pass: cancel X pairs."""
+    return cancel_x_pairs(circuit)

@@ -15,7 +15,7 @@ states run opposite to its Gray indices emits the X-conjugate,
 ``(0, -theta, -arg a, -arg b)``.  Neither these nor the rotation applied to
 the work matrix involve ``pi``, whose float is 1.2e-16 short and would bias
 every block alike.  ``matrix_to_circuit`` turns the angles into gates, and
-``angles_block`` multiplies a block's angles out into its 2x2 matrix.  numpy
+``zyz_reconstruct`` multiplies a block's angles out into its 2x2 matrix.  numpy
 runs once per row, to skip its trailing near-zero entries, and once per
 rotation, for the column update: a BLAS matmul, since an elementwise update
 rounds differently.
@@ -25,10 +25,17 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .matrix import num_qubits, validate_unitary
+from .matrix import (
+    DimensionError,
+    UnitarityError,
+    is_unitary,
+    num_qubits,
+    validate_unitary,
+)
 
 # Entries at or below this magnitude are treated as exact zeros when picking
 # the elimination branch.
@@ -60,25 +67,19 @@ def gray_permutation(n: int) -> np.ndarray:
     return codes ^ (codes >> 1)
 
 
-def gray_conjugate(matrix: np.ndarray, direction: str = "forward") -> np.ndarray:
+def gray_conjugate(matrix: np.ndarray) -> np.ndarray:
     """Reindex both axes of a matrix by the Gray code.
 
-    Forward maps entry ``(i, j)`` of the result to entry ``(pi_i, pi_j)`` of
-    the input; inverse undoes it, so a forward/inverse round trip is the
-    identity bitwise.  A matrix nontrivial only on rows/columns ``(i, j)``
-    maps under inverse to one nontrivial on ``(pi_i, pi_j)``.
+    Entry ``(i, j)`` of the result is entry ``(pi_i, pi_j)`` of the input.  A
+    matrix nontrivial only on rows/columns ``(pi_i, pi_j)`` maps to one
+    nontrivial on ``(i, j)``, so adjacent indices of the result hold states
+    one bit apart.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     pi = gray_permutation(num_qubits(m.shape[0]))
-    if direction == "forward":
-        return m[np.ix_(pi, pi)]
-    if direction == "inverse":
-        inv = np.empty_like(pi)
-        inv[pi] = np.arange(pi.size)
-        return m[np.ix_(inv, inv)]
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return m[np.ix_(pi, pi)]
 
 
 def _rotation(a: complex, b: complex, abs_b: float) -> tuple:
@@ -118,8 +119,34 @@ def _zyz_angles(
     return phi, theta, lam, mu
 
 
-def angles_block(phi: float, theta: float, lam: float, mu: float) -> np.ndarray:
+class ZYZAngles(NamedTuple):
+    """Factorization U = R1(phi) Rz(lam+mu) Ry(2*theta) Rz(lam-mu)."""
+
+    phi: float
+    theta: float
+    lam: float
+    mu: float
+
+
+def zyz_decompose(matrix: np.ndarray) -> ZYZAngles:
+    """Factor a 2x2 unitary into the R1/Rz/Ry/Rz angle tuple.
+
+    phi is the determinant phase; the remaining angles come from the special
+    unitary R1(-phi) @ U, with ``theta = atan2(|u01|, |u00|)`` in
+    ``[0, pi/2]``.  Zero entries yield zero phase angles, so diagonal and
+    antidiagonal inputs produce canonical forms.
+    """
+    u = np.asarray(matrix, dtype=np.complex128)
+    if u.shape != (2, 2):
+        raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
+    if not is_unitary(u, 1e-10):
+        raise UnitarityError("zyz_decompose requires a unitary matrix")
+    return ZYZAngles(*_zyz_angles(*u.ravel().tolist()))
+
+
+def zyz_reconstruct(angles: ZYZAngles) -> np.ndarray:
     """``R1(phi) Rz(lam+mu) Ry(2*theta) Rz(lam-mu)``, multiplied out."""
+    phi, theta, lam, mu = angles
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     e_lam = cmath.exp(1j * lam)
@@ -143,7 +170,7 @@ def two_level_angles(
     work = validate_unitary(matrix, tol)
     dim = work.shape[0]
     pi = gray_permutation(num_qubits(dim)).tolist()
-    work = gray_conjugate(work, "forward")
+    work = gray_conjugate(work)
     # Gray columns (lo, lo + 1) hold states (pi_lo, pi_lo+1): the pair in
     # order, and the sign that turns a Gray-frame block's angles into the
     # emitted block's (-1 where the X-conjugate swaps the states back)

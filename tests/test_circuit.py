@@ -26,7 +26,9 @@ from unisynth import (
     zyz_decompose,
     zyz_reconstruct,
 )
-from unisynth.twolevel import angles_block
+from unisynth.circuit import IDENTITY_ANGLE_TOL, ROTATION_KINDS
+
+from test_golden import BLOCK_INPUTS, GOLDEN
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -93,6 +95,21 @@ def test_gate_invariants():
         Gate(GateKind.FCX, 0, (1,), 1.0)  # x kinds take no angle
     with pytest.raises(ValueError):
         Gate(GateKind.X, -1)
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(2.0)])
+def test_gate_rejects_non_integer_qubit_indices(bad):
+    # int() would truncate 1.7 to qubit 1 and put the gate on the wrong wire
+    with pytest.raises(ValueError, match="qubit index must be an integer"):
+        Gate(GateKind.X, bad)
+    with pytest.raises(ValueError, match="qubit index must be an integer"):
+        Gate(GateKind.FCRY, 0, (bad,), 1.0)
+
+
+def test_gate_accepts_numpy_integer_qubit_indices():
+    g = Gate(GateKind.FCRY, np.int64(2), (np.int32(1), np.uint8(0)), 1.0)
+    assert (g.target, g.controls) == (2, (0, 1))
+    assert type(g.target) is int and all(type(q) is int for q in g.controls)
 
 
 def test_circuit_rejects_out_of_range_qubits():
@@ -360,6 +377,17 @@ def test_circuit_accepts_compiled_gates(case):
     assert Circuit(n, gates).gates == gates
 
 
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "near_diagonal_n5"])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_synthesis_emits_no_identity_rotation(name, optimize):
+    # what lets X-pair cancellation be the only peephole pass
+    circuit = matrix_to_circuit(BLOCK_INPUTS[name], optimize=optimize)
+    assert not [
+        g for g in circuit.gates
+        if g.kind in ROTATION_KINDS and abs(g.angle) <= IDENTITY_ANGLE_TOL
+    ]
+
+
 def test_circuit_rejects_out_of_range_gate_repeating_an_earlier_pair():
     gate = Gate(GateKind.FCRY, 3, (2, 0, 1), 1.0)
     assert len(Circuit(4, (gate, gate))) == 2
@@ -375,7 +403,8 @@ def test_angles_block_multiplies_out_the_rotation_chain():
         phi, theta, lam, mu = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 4)
         chain = r1_matrix(phi) @ rz_matrix(lam + mu)
         chain = chain @ ry_matrix(2 * theta) @ rz_matrix(lam - mu)
-        assert np.abs(angles_block(phi, theta, lam, mu) - chain).max() <= 1e-15
+        got = zyz_reconstruct((phi, theta, lam, mu))
+        assert np.abs(got - chain).max() <= 1e-15
 
 
 def test_two_level_to_gates_reads_out_of_order_pairs_with_nonpositive_theta():

@@ -210,6 +210,18 @@ def test_verify_malformed_circuit_is_input_error(matrix_file, tmp_path, capsys):
     assert "version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_verify_non_int_version_is_input_error(matrix_file, tmp_path, capsys, version):
+    # both compare equal to 1 in Python
+    path = matrix_file(np.eye(2))
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text(
+        f'{{"version": {version}, "n": 1, "gates": []}}', encoding="utf-8"
+    )
+    assert main(["verify", "-i", path, "-c", str(circuit_path)]) == 2
+    assert "unsupported version" in capsys.readouterr().err
+
+
 def test_bench_table_matches_known_counts(capsys):
     assert main(["bench", "--n-min", "1", "--n-max", "3"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,4 @@
-"""Peephole passes: exactness, idempotence, and the cancellation rule."""
-
-import math
+"""The peephole pass: exactness, idempotence, and the cancellation rule."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from unisynth import (
     GateKind,
     cancel_x_pairs,
     circuit_matrix,
-    drop_identity_gates,
     haar_random_unitary,
     matrix_to_circuit,
     optimize,
@@ -55,24 +52,6 @@ def test_fcx_blocks_cancellation_too():
     fcx = Gate(GateKind.FCX, 1, (0,))
     c = Circuit(2, (_x(0), fcx, _x(0)))
     assert cancel_x_pairs(c).gates == c.gates
-
-
-def test_drop_identity_angles():
-    c = Circuit(
-        1,
-        (
-            Gate(GateKind.FCRZ, 0, (), 1e-15),
-            Gate(GateKind.FCRY, 0, (), 4.0 * math.pi),  # normalizes to 0
-            Gate(GateKind.FCR1, 0, (), 2.0 * math.pi),  # normalizes to 0
-        ),
-    )
-    assert drop_identity_gates(c).gates == ()
-
-
-def test_keep_two_pi_ry():
-    # Ry(2*pi) is -I on the block, not the identity
-    c = Circuit(1, (Gate(GateKind.FCRY, 0, (), 2.0 * math.pi),))
-    assert drop_identity_gates(c).gates == c.gates
 
 
 def test_optimize_empty_circuit():
@@ -123,7 +102,7 @@ def test_optimize_preserves_pipeline_matrix():
     assert np.linalg.norm(delta) <= 1e-12
 
 
-@pytest.mark.parametrize("pass_fn", [drop_identity_gates, cancel_x_pairs])
+@pytest.mark.parametrize("pass_fn", [cancel_x_pairs, optimize])
 def test_passes_return_same_object_when_nothing_changes(pass_fn):
     c = Circuit(2, (Gate(GateKind.FCRY, 0, (1,), 1.0),))
     assert pass_fn(c) is c
@@ -172,15 +151,3 @@ def test_cancel_matches_the_plain_rule_gate_for_gate(n):
         want = _reference_cancel(c.gates)
         got = cancel_x_pairs(c).gates
         assert [id(g) for g in got] == [id(g) for g in want]
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_drop_keeps_exactly_the_non_identity_gates(n):
-    c = random_circuit(np.random.default_rng(400 + n), n, 200)
-    want = [
-        g
-        for g in c.gates
-        if not (g.kind in (GateKind.FCRY, GateKind.FCRZ, GateKind.FCR1)
-                and abs(g.angle) <= 1e-12)
-    ]
-    assert [id(g) for g in drop_identity_gates(c).gates] == [id(g) for g in want]

@@ -13,7 +13,7 @@ from unisynth import (
     gray_permutation,
     haar_random_unitary,
 )
-from unisynth.twolevel import angles_block, two_level_angles
+from unisynth.twolevel import two_level_angles, zyz_reconstruct
 
 from conftest import CNOT, SWAP_2Q
 
@@ -37,40 +37,26 @@ def test_gray_conjugate_forward_matches_index_map():
     # forward result (i, j) must read the input at (pi_i, pi_j)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    out = gray_conjugate(a, "forward")
+    out = gray_conjugate(a)
     pi = gray_permutation(3)
     for i in range(8):
         for j in range(8):
             assert out[i, j] == a[pi[i], pi[j]]
 
 
-def test_gray_conjugate_round_trip_is_bitwise():
-    a = haar_random_unitary(3, 11)
-    assert np.array_equal(gray_conjugate(gray_conjugate(a, "forward"), "inverse"), a)
-    assert np.array_equal(gray_conjugate(gray_conjugate(a, "inverse"), "forward"), a)
-
-
 def test_gray_conjugate_identity_fixed():
-    assert np.array_equal(gray_conjugate(np.eye(8), "forward"), np.eye(8))
+    assert np.array_equal(gray_conjugate(np.eye(8)), np.eye(8))
 
 
 def test_gray_conjugate_inverse_moves_adjacent_pair_to_one_bit_pair():
-    # a block on adjacent indices (1, 2) lands on states (pi_1, pi_2) = (1, 3)
+    # a block on states (pi_1, pi_2) = (1, 3), one bit apart, lands on the
+    # adjacent indices (1, 2)
     block = np.array([[0.6, 0.8j], [0.8j, 0.6]], dtype=complex)
     m = np.eye(4, dtype=complex)
-    m[1:3, 1:3] = block
-    out = gray_conjugate(m, "inverse")
+    m[np.ix_([1, 3], [1, 3])] = block
     expected = np.eye(4, dtype=complex)
-    expected[1, 1] = block[0, 0]
-    expected[1, 3] = block[0, 1]
-    expected[3, 1] = block[1, 0]
-    expected[3, 3] = block[1, 1]
-    assert np.allclose(out, expected, atol=1e-15)
-
-
-def test_gray_conjugate_rejects_unknown_direction():
-    with pytest.raises(ValueError):
-        gray_conjugate(np.eye(2), "sideways")
+    expected[1:3, 1:3] = block
+    assert np.array_equal(gray_conjugate(m), expected)
 
 
 def _pair_unitary(a: complex, b: complex) -> np.ndarray:
@@ -86,7 +72,7 @@ def _product(entries, dim: int) -> np.ndarray:
     m = np.eye(dim, dtype=np.complex128)
     for s1, s2, angles in entries:
         g = np.eye(dim, dtype=np.complex128)
-        block = [[0, 1], [1, 0]] if angles is None else angles_block(*angles)
+        block = [[0, 1], [1, 0]] if angles is None else zyz_reconstruct(angles)
         g[np.ix_([s1, s2], [s1, s2])] = block
         m = g @ m
     return m
@@ -110,7 +96,7 @@ def test_eliminate_entry_equal_weights():
     [(s1, s2, angles)] = two_level_angles(u)
     assert (s1, s2) == (0, 1)
     assert angles == pytest.approx((0.0, np.pi / 4, 0.0, 0.0), abs=1e-15)
-    assert np.allclose(angles_block(*angles), u[:2, :2], atol=1e-15)
+    assert np.allclose(zyz_reconstruct(angles), u[:2, :2], atol=1e-15)
 
 
 def test_eliminate_entry_threshold_behavior():
@@ -132,7 +118,7 @@ def test_eliminate_entry_random_pairs():
         assert (s1, s2) == (0, 1)
         # phi is exactly 0: every block but the last is special unitary
         assert angles == (0.0, math.atan2(abs(b), abs(a)), cmath.phase(a), cmath.phase(b))
-        assert np.abs(angles_block(*angles) - u[:2, :2]).max() <= 1e-15
+        assert np.abs(zyz_reconstruct(angles) - u[:2, :2]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(1, 4))
@@ -144,7 +130,7 @@ def test_decompose_single_qubit_diagonal():
     u = np.diag([1.0, np.exp(1j * np.pi / 3)])
     [(s1, s2, angles)] = two_level_angles(u)
     assert (s1, s2) == (0, 1)
-    assert np.allclose(angles_block(*angles), u, atol=1e-15)
+    assert np.allclose(zyz_reconstruct(angles), u, atol=1e-15)
 
 
 def test_decompose_generic_count_and_reconstruction():
