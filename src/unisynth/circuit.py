@@ -17,6 +17,14 @@ on the qubits where s1 has a 0 bit so the controls all test for 1.
 ``matrix_to_circuit`` builds each chain from the angles elimination computed
 (``two_level_angles``), forming no 2x2 block.  ``census`` tallies gates.
 
+X gates are placed through one tracked frame, the set of qubits currently
+under an X.  Before each chain, synthesis flips the qubits where the frame
+differs from the chain's wrap, and it empties the frame at the end.
+Consecutive Gray-adjacent blocks share most of their wraps, so most X gates
+are never emitted; ``optimize=False`` empties the frame after every block
+instead, which wraps each block in its own X gates.  A block whose links are
+all identity rotations emits nothing, wraps included.
+
 Synthesis shares one X gate per qubit and one control tuple per target
 (``Gate`` is frozen) and builds rotation gates through ``trusted_gate``
 without re-running ``Gate``'s checks, whose invariants its fields hold by
@@ -245,52 +253,58 @@ def r1_matrix(angle: float) -> np.ndarray:
 
 
 class _Wiring(NamedTuple):
-    """What synthesis on ``n`` qubits needs of each target and state."""
+    """What synthesis on ``n`` qubits needs of each qubit and target."""
 
+    x: tuple[Gate, ...]  # per qubit, its X gate
     controls: tuple[tuple[int, ...], ...]  # per target, every other qubit
     swaps: tuple[Gate, ...]  # per target, the gate of an exact X block
-    wraps: tuple[tuple[Gate, ...], ...]  # per state, X on each of its 0 bits
 
 
 @functools.lru_cache(maxsize=16)
 def _wiring(n: int) -> _Wiring:
-    x_gates = tuple(Gate(GateKind.X, q) for q in range(n))
     controls = tuple(tuple(q for q in range(n) if q != r) for r in range(n))
     swap = GateKind.FCX if n > 1 else GateKind.X
     return _Wiring(
+        tuple(Gate(GateKind.X, q) for q in range(n)),
         controls,
         tuple(Gate(swap, r, controls[r]) for r in range(n)),
-        tuple(
-            tuple(x_gates[q] for q in range(n) if not (s >> q) & 1)
-            for s in range(1 << n)
-        ),
     )
 
 
-def _append_block(
-    gates: list[Gate], wiring: _Wiring, s1: int, s2: int, angles: tuple | None
-) -> None:
-    # one block's X-wrapped chain: Rz, Ry, Rz, R1 with identity-angle links
-    # skipped, or for ``angles`` None (exactly X) one FCX, plain X at n = 1
-    r = (s1 ^ s2).bit_length() - 1
-    # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves at 0
-    before = wiring.wraps[s2]
-    gates.extend(before)
+def _chain(wiring: _Wiring, r: int, angles: tuple | None) -> list[Gate]:
+    # one block's chain on target r: Rz, Ry, Rz, R1 with identity-angle
+    # links left out, or for ``angles`` None (exactly X) one FCX, plain X
+    # at n = 1
     if angles is None:
-        gates.append(wiring.swaps[r])
-    else:
-        phi, theta, lam, mu = angles
-        controls = wiring.controls[r]
-        for kind, angle, period in (
-            (GateKind.FCRZ, lam - mu, FOUR_PI),
-            (GateKind.FCRY, 2.0 * theta, FOUR_PI),
-            (GateKind.FCRZ, lam + mu, FOUR_PI),
-            (GateKind.FCR1, phi, TWO_PI),
-        ):
-            angle = normalize_angle(angle, period)
-            if abs(angle) > IDENTITY_ANGLE_TOL:
-                gates.append(trusted_gate(kind, r, controls, angle))
-    gates.extend(reversed(before))
+        return [wiring.swaps[r]]
+    phi, theta, lam, mu = angles
+    controls = wiring.controls[r]
+    chain = []
+    for kind, angle, period in (
+        (GateKind.FCRZ, lam - mu, FOUR_PI),
+        (GateKind.FCRY, 2.0 * theta, FOUR_PI),
+        (GateKind.FCRZ, lam + mu, FOUR_PI),
+        (GateKind.FCR1, phi, TWO_PI),
+    ):
+        angle = normalize_angle(angle, period)
+        if abs(angle) > IDENTITY_ANGLE_TOL:
+            chain.append(trusted_gate(kind, r, controls, angle))
+    return chain
+
+
+def _move_frame(gates: list[Gate], x: tuple[Gate, ...], frame: int, new: int) -> None:
+    # X the qubits whose bit differs between the frames: those leaving,
+    # high to low, then those entering, low to high
+    leaving = frame & ~new
+    while leaving:
+        q = leaving.bit_length() - 1
+        gates.append(x[q])
+        leaving ^= 1 << q
+    entering = new & ~frame
+    while entering:
+        low = entering & -entering
+        gates.append(x[low.bit_length() - 1])
+        entering ^= low
 
 
 def matrix_to_circuit(
@@ -300,22 +314,34 @@ def matrix_to_circuit(
 
     Args:
         matrix: unitary of dimension ``2**n`` with ``n <= 9``.
-        optimize: cancel X pairs in the result (default True).
+        optimize: share X gates between consecutive blocks (default True);
+            False wraps each block in its own X gates.
         tol: unitarity tolerance override for input validation.
 
     Returns:
         A circuit whose matrix equals the input up to float round-off.
     """
-    from . import optimizer
-
     # two_level_angles validates the matrix; nothing downstream re-checks
     blocks = two_level_angles(matrix, tol)
     n = num_qubits(len(matrix))
     wiring = _wiring(n)
+    x = wiring.x
+    full = (1 << n) - 1
     gates: list[Gate] = []
+    # bit q is set while qubit q is under an X
+    frame = 0
     for s1, s2, angles in blocks:
-        _append_block(gates, wiring, s1, s2, angles)
-    circuit = Circuit(n, tuple(gates))
-    if optimize:
-        circuit = optimizer.optimize(circuit)
-    return circuit
+        chain = _chain(wiring, (s1 ^ s2).bit_length() - 1, angles)
+        if not chain:
+            continue
+        # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves
+        # at 0: X on each of them makes every control test for 1
+        wrap = full & ~s2
+        _move_frame(gates, x, frame, wrap)
+        gates.extend(chain)
+        frame = wrap
+        if not optimize:
+            _move_frame(gates, x, frame, 0)
+            frame = 0
+    _move_frame(gates, x, frame, 0)
+    return Circuit(n, tuple(gates))

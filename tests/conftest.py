@@ -47,7 +47,8 @@ def random_gate(rng: np.random.Generator, n: int) -> Gate:
     controls = tuple(sorted(rng.choice(others, size=k, replace=False))) if k else ()
     if kind is GateKind.FCX:
         return Gate(kind, target, controls)
-    # sprinkle exact identity angles so the optimizer has work to do
+    # sprinkle exact zero and full-period angles: gates synthesis never
+    # emits, which the emitters and the simulator must still take
     roll = rng.random()
     if roll < 0.1:
         angle = 0.0

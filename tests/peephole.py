@@ -1,18 +1,16 @@
-"""The peephole pass that shrinks a circuit without changing its matrix.
+"""Reference X-pair cancellation: the former peephole pass, kept as a test oracle.
 
 Within each maximal run of consecutive X gates, same-qubit pairs cancel.  X
 gates on distinct qubits commute, so only the per-qubit parity of a run
 matters; qubits with odd parity keep one X at their first position in the
-run.  The rewrite is exact.
-
-Synthesis already leaves out identity rotations, so X-pair cancellation is
-the one pass.  It removes only X gates and keeps every other gate, so it
-never joins two runs: ``optimize`` is idempotent.
+run.  The rewrite is exact.  Synthesis now places its X gates through a
+tracked frame, and ``matrix_to_circuit(u)`` must equal this pass applied to
+``matrix_to_circuit(u, optimize=False)`` gate for gate.
 """
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, GateKind
+from unisynth import Circuit, Gate, GateKind
 
 
 def cancel_x_pairs(circuit: Circuit) -> Circuit:
@@ -40,8 +38,3 @@ def cancel_x_pairs(circuit: Circuit) -> Circuit:
     if len(kept) == len(circuit.gates):
         return circuit
     return Circuit(circuit.n, tuple(kept))
-
-
-def optimize(circuit: Circuit) -> Circuit:
-    """Run the peephole pass: cancel X pairs."""
-    return cancel_x_pairs(circuit)

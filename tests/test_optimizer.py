@@ -1,20 +1,27 @@
-"""The peephole pass: exactness, idempotence, and the cancellation rule."""
+"""X-pair cancellation: the oracle's rule, and synthesis's X frame against it.
+
+``cancel_x_pairs`` (``tests/peephole.py``) states the rule plainly; the
+compiler's X frame (``matrix_to_circuit``) must give what it gives on the
+unoptimized circuit, gate for gate.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unisynth import (
     Circuit,
     Gate,
     GateKind,
-    cancel_x_pairs,
     circuit_matrix,
     haar_random_unitary,
     matrix_to_circuit,
-    optimize,
 )
 
 from conftest import random_circuit
+from peephole import cancel_x_pairs
+from test_golden import BLOCK_INPUTS, INPUTS
 
 
 def _x(q):
@@ -45,7 +52,6 @@ def test_runs_do_not_cancel_through_controlled_gates():
     rot = Gate(GateKind.FCRY, 1, (0,), 1.0)
     c = Circuit(2, (_x(0), rot, _x(0)))
     assert cancel_x_pairs(c).gates == c.gates
-    assert optimize(c).gates == c.gates
 
 
 def test_fcx_blocks_cancellation_too():
@@ -56,7 +62,7 @@ def test_fcx_blocks_cancellation_too():
 
 def test_optimize_empty_circuit():
     c = Circuit(3, ())
-    assert optimize(c).gates == ()
+    assert cancel_x_pairs(c).gates == ()
 
 
 def test_optimize_is_idempotent_and_monotone():
@@ -64,9 +70,9 @@ def test_optimize_is_idempotent_and_monotone():
     for n in range(1, 5):
         for _ in range(10):
             c = random_circuit(rng, n, int(rng.integers(0, 30)))
-            once = optimize(c)
+            once = cancel_x_pairs(c)
             assert len(once.gates) <= len(c.gates)
-            assert optimize(once).gates == once.gates
+            assert cancel_x_pairs(once).gates == once.gates
 
 
 def test_optimize_preserves_matrix():
@@ -74,7 +80,7 @@ def test_optimize_preserves_matrix():
     for n in range(1, 5):
         for _ in range(10):
             c = random_circuit(rng, n, int(rng.integers(0, 30)))
-            delta = circuit_matrix(optimize(c)) - circuit_matrix(c)
+            delta = circuit_matrix(cancel_x_pairs(c)) - circuit_matrix(c)
             assert np.linalg.norm(delta) <= 1e-12
 
 
@@ -89,7 +95,7 @@ def test_interleaved_runs_reduce_to_parity():
 def test_pipeline_x_count_strictly_drops():
     a = haar_random_unitary(3, 1)
     raw = matrix_to_circuit(a, optimize=False)
-    cooked = cancel_x_pairs(raw)
+    cooked = matrix_to_circuit(a)
     raw_x = sum(g.kind is GateKind.X for g in raw.gates)
     cooked_x = sum(g.kind is GateKind.X for g in cooked.gates)
     assert cooked_x < raw_x
@@ -98,11 +104,11 @@ def test_pipeline_x_count_strictly_drops():
 def test_optimize_preserves_pipeline_matrix():
     a = haar_random_unitary(3, 13)
     raw = matrix_to_circuit(a, optimize=False)
-    delta = circuit_matrix(optimize(raw)) - circuit_matrix(raw)
+    delta = circuit_matrix(matrix_to_circuit(a)) - circuit_matrix(raw)
     assert np.linalg.norm(delta) <= 1e-12
 
 
-@pytest.mark.parametrize("pass_fn", [cancel_x_pairs, optimize])
+@pytest.mark.parametrize("pass_fn", [cancel_x_pairs])
 def test_passes_return_same_object_when_nothing_changes(pass_fn):
     c = Circuit(2, (Gate(GateKind.FCRY, 0, (1,), 1.0),))
     assert pass_fn(c) is c
@@ -151,3 +157,37 @@ def test_cancel_matches_the_plain_rule_gate_for_gate(n):
         want = _reference_cancel(c.gates)
         got = cancel_x_pairs(c).gates
         assert [id(g) for g in got] == [id(g) for g in want]
+
+
+def _assert_frame_matches_oracle(matrix):
+    raw = matrix_to_circuit(matrix, optimize=False)
+    assert matrix_to_circuit(matrix).gates == cancel_x_pairs(raw).gates
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS) + sorted(BLOCK_INPUTS))
+def test_frame_equals_oracle_on_golden_and_block_inputs(name):
+    _assert_frame_matches_oracle({**INPUTS, **BLOCK_INPUTS}[name])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_frame_equals_oracle_on_haar(n):
+    for seed in range(4):
+        _assert_frame_matches_oracle(haar_random_unitary(n, seed))
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.one_of(st.none(), st.floats(-14.0, -9.0)),
+)
+def test_frame_equals_oracle_on_haar_and_perturbed_inputs(n, seed, exponent):
+    # a perturbation far inside the input tolerance (1e-8 per dimension)
+    # leaves some blocks with only identity links, which emit nothing
+    u = haar_random_unitary(n, seed)
+    if exponent is not None:
+        rng = np.random.default_rng(seed)
+        dim = 1 << n
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u = u + 10.0**exponent * noise
+    _assert_frame_matches_oracle(u)
