@@ -41,8 +41,9 @@ from .matrix import (
 # the elimination branch.
 ZERO_THRESHOLD = 1e-10
 
-# A finished diagonal entry farther than this from 1 gets an explicit phase
-# block; generic inputs never trip it.
+# A finished diagonal entry whose phase is farther than this from 0 gets an
+# explicit phase block; generic inputs never trip it.  Drift in its modulus
+# alone, which a phase block cannot remove, never does.
 _PHASE_TOL = 1e-12
 
 # The trailing 2x2 corner is kept only if it differs from identity by more
@@ -203,12 +204,11 @@ def two_level_angles(
             else:
                 theta, arg_a, arg_b = angles
                 out.append((s1, s2, (0.0, sign * theta, sign * arg_a, sign * arg_b)))
-        diag = work.item(row, row)
-        if abs(diag - 1.0) > _PHASE_TOL:
+        arg = cmath.phase(work.item(row, row))
+        if abs(arg) > _PHASE_TOL:
             # Zero entries along the row can leave a unit-modulus phase on
             # the diagonal; rotate it onto the next column so the row
             # finishes at exactly e_row.
-            arg = cmath.phase(diag)
             phase = cmath.exp(1j * arg)
             rotation[:] = ((phase.conjugate(), _ZERO), (_ZERO, phase))
             work[row:, row : row + 2] = work[row:, row : row + 2] @ rotation

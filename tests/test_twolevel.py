@@ -12,6 +12,7 @@ from unisynth import (
     gray_conjugate,
     gray_permutation,
     haar_random_unitary,
+    matrix_to_circuit,
 )
 from unisynth.twolevel import two_level_angles, zyz_reconstruct
 
@@ -171,6 +172,20 @@ def test_decompose_handles_sparse_diagonal_phases(n):
     u = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << n)))
     entries = two_level_angles(u)
     assert np.linalg.norm(_product(entries, 1 << n) - u) <= 1e-12
+
+
+def test_decompose_skips_a_diagonal_entry_whose_modulus_alone_drifts():
+    # 1 - 1e-11 has phase 0: no phase block can remove modulus drift, so
+    # none is emitted, and no X gates wrap an empty chain either
+    u = np.diag([1, 1, 1 - 1e-11, 1, 1, 1, 1, 1]).astype(np.complex128)
+    assert two_level_angles(u) == []
+    assert matrix_to_circuit(u, optimize=False).gates == ()
+
+
+def test_decompose_keeps_a_phase_just_above_the_phase_tolerance():
+    # state 1 sits at Gray index 1: its row's phase moves onto state 3
+    u = np.diag([1, cmath.exp(2e-12j), 1, 1]).astype(np.complex128)
+    assert two_level_angles(u) == [(1, 3, (0.0, 0.0, cmath.phase(u[1, 1]), 0.0))]
 
 
 def test_decompose_rejects_non_unitary():
