@@ -74,11 +74,14 @@ def normalize_angle(angle: float, period: float) -> float:
 
 
 def _qubit(index: object) -> int:
-    # an exact integer index: Python and numpy ints pass, any float raises
-    try:
-        return operator.index(index)
-    except TypeError:
-        raise ValueError(f"qubit index must be an integer, got {index!r}") from None
+    # an exact integer index: Python and numpy ints pass; bool, an int
+    # subclass, and any float raise
+    if not isinstance(index, bool):
+        try:
+            return operator.index(index)
+        except TypeError:
+            pass
+    raise ValueError(f"qubit index must be an integer, got {index!r}")
 
 
 def check_wiring(
@@ -178,8 +181,9 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"qubit count must be positive, got {self.n}")
+        # exactly an int, as parse_json requires of "n": not bool, not float
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"qubit count must be a positive integer, got {self.n!r}")
         gates = tuple(self.gates)
         for gate in gates:
             controls = gate.controls

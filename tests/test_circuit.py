@@ -106,6 +106,23 @@ def test_gate_rejects_non_integer_qubit_indices(bad):
         Gate(GateKind.FCRY, 0, (bad,), 1.0)
 
 
+def test_gate_rejects_bool_qubit_indices():
+    # operator.index(True) is 1: the gate would land on qubit 1
+    with pytest.raises(ValueError, match="qubit index must be an integer, got True"):
+        Gate(GateKind.X, True)
+    with pytest.raises(ValueError, match="qubit index must be an integer, got False"):
+        Gate(GateKind.FCRY, 1, (False,), 1.0)
+
+
+@pytest.mark.parametrize(
+    "n", [2.5, 2.0, True, np.int64(2)], ids=["2.5", "2.0", "True", "int64"]
+)
+def test_circuit_rejects_a_qubit_count_that_is_not_an_int(n):
+    # emit_json would write it, and parse_json rejects anything but an int
+    with pytest.raises(ValueError, match="qubit count must be a positive integer"):
+        Circuit(n, ())
+
+
 def test_gate_accepts_numpy_integer_qubit_indices():
     g = Gate(GateKind.FCRY, np.int64(2), (np.int32(1), np.uint8(0)), 1.0)
     assert (g.target, g.controls) == (2, (0, 1))
