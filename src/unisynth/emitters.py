@@ -29,6 +29,7 @@ from .circuit import (
     check_wiring,
     trusted_gate,
 )
+from .matrix import decode_json
 
 JSON_IR_VERSION = 1
 
@@ -175,14 +176,7 @@ def parse_json(text: str | bytes) -> Circuit:
         CircuitFormatError: malformed or too deeply nested JSON, unsupported
         version, unknown gate kind, or fields that violate the gate invariants.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise CircuitFormatError("JSON is nested too deeply") from None
+    doc = decode_json(text, CircuitFormatError)
     if not isinstance(doc, dict):
         raise CircuitFormatError("expected a JSON object at top level")
     version = doc.get("version")

@@ -10,7 +10,8 @@ Contains:
   (``validate_unitary`` also rejects NaN and infinite entries).
 - ``check_tolerance``: the one rule for a caller-supplied tolerance.
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
-- ``save_matrix`` / ``load_matrix``: the JSON matrix file format.
+- ``save_matrix`` / ``load_matrix``: the JSON matrix file format, read
+  through ``decode_json``, which ``parse_json`` shares.
 - ``ket_string`` / ``parse_ket``: state-index rendering helpers.
 """
 
@@ -158,6 +159,18 @@ def save_matrix(matrix: np.ndarray) -> str:
     return json.dumps({"n": n, "matrix": rows})
 
 
+def decode_json(text: str | bytes, error: type[ValueError]) -> object:
+    """``json.loads``, raising ``error`` for malformed or too deeply nested JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise error("JSON is nested too deeply") from None
+
+
 def load_matrix(text: str | bytes) -> np.ndarray:
     """Parse the JSON matrix format; finiteness and unitarity are unchecked.
 
@@ -167,14 +180,7 @@ def load_matrix(text: str | bytes) -> np.ndarray:
             (``true``/``false`` are not numbers), or a number too large.
         DimensionError: dimension not 2**n or inconsistent with "n".
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise MatrixFormatError("JSON is nested too deeply") from None
+    doc = decode_json(text, MatrixFormatError)
     if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
         raise MatrixFormatError('expected an object with "n" and "matrix" keys')
     n = doc["n"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unisynth import (
+    CircuitFormatError,
     DimensionError,
     MatrixFormatError,
     UnitarityError,
@@ -14,6 +15,7 @@ from unisynth import (
     ket_string,
     load_matrix,
     num_qubits,
+    parse_json,
     parse_ket,
     save_matrix,
     validate_unitary,
@@ -229,3 +231,19 @@ def test_load_integer_and_float_entries_match_complex():
 def test_load_rejects_huge_qubit_count_without_building_it():
     with pytest.raises(DimensionError, match='"n" is 1000000000000'):
         load_matrix('{"n": 1000000000000, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 1', "^invalid JSON at line 1 column 8: Expecting ',' delimiter$"),
+        ("\n  [1,]", "^invalid JSON at line 2 column 6: Expecting value$"),
+        ("[" * 100_000, "^JSON is nested too deeply$"),
+    ],
+    ids=["truncated", "trailing-comma", "deep"],
+)
+def test_matrix_and_circuit_parsers_report_bad_json_alike(text, message):
+    with pytest.raises(MatrixFormatError, match=message):
+        load_matrix(text)
+    with pytest.raises(CircuitFormatError, match=message):
+        parse_json(text)
