@@ -296,9 +296,9 @@ def _chain(wiring: _Wiring, r: int, angles: tuple | None) -> list[Gate]:
     return chain
 
 
-def _move_frame(gates: list[Gate], x: tuple[Gate, ...], frame: int, new: int) -> None:
-    # X the qubits whose bit differs between the frames: those leaving,
-    # high to low, then those entering, low to high
+def _move_frame(gates: list[Gate], x: tuple[Gate, ...], frame: int, new: int) -> int:
+    # X the qubits whose bit differs between the frames, those leaving high
+    # to low, then those entering low to high, and return the new frame
     leaving = frame & ~new
     while leaving:
         q = leaving.bit_length() - 1
@@ -309,6 +309,7 @@ def _move_frame(gates: list[Gate], x: tuple[Gate, ...], frame: int, new: int) ->
         low = entering & -entering
         gates.append(x[low.bit_length() - 1])
         entering ^= low
+    return new
 
 
 def matrix_to_circuit(
@@ -340,12 +341,9 @@ def matrix_to_circuit(
             continue
         # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves
         # at 0: X on each of them makes every control test for 1
-        wrap = full & ~s2
-        _move_frame(gates, x, frame, wrap)
+        frame = _move_frame(gates, x, frame, full & ~s2)
         gates.extend(chain)
-        frame = wrap
         if not optimize:
-            _move_frame(gates, x, frame, 0)
-            frame = 0
+            frame = _move_frame(gates, x, frame, 0)
     _move_frame(gates, x, frame, 0)
     return Circuit(n, tuple(gates))

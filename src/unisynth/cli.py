@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--no-optimize",
         action="store_true",
-        help="skip X-pair cancellation",
+        help="wrap each block in its own X gates instead of sharing them "
+        "between consecutive blocks",
     )
     dec.add_argument(
         "--tol",
