@@ -8,9 +8,6 @@ from .circuit import (
     census,
     matrix_to_circuit,
     normalize_angle,
-    r1_matrix,
-    ry_matrix,
-    rz_matrix,
 )
 from .emitters import (
     CircuitFormatError,
@@ -24,28 +21,16 @@ from .matrix import (
     MatrixFormatError,
     UnitarityError,
     haar_random_unitary,
-    is_unitary,
-    ket_string,
     load_matrix,
     num_qubits,
-    parse_ket,
     save_matrix,
     validate_unitary,
 )
-from .simulator import (
-    VerificationReport,
-    circuit_matrix,
-    gate_block,
-    gate_matrix,
-    verify,
-)
+from .simulator import VerificationReport, circuit_matrix, verify
 from .twolevel import (
-    ZYZAngles,
-    gray_code,
     gray_conjugate,
     gray_permutation,
     two_level_angles,
-    zyz_decompose,
     zyz_reconstruct,
 )
 
@@ -61,34 +46,23 @@ __all__ = [
     "MatrixFormatError",
     "UnitarityError",
     "VerificationReport",
-    "ZYZAngles",
     "census",
     "circuit_matrix",
     "emit_json",
     "emit_qasm3",
     "emit_qsharp",
-    "gate_block",
-    "gate_matrix",
-    "gray_code",
     "gray_conjugate",
     "gray_permutation",
     "haar_random_unitary",
-    "is_unitary",
-    "ket_string",
     "load_matrix",
     "matrix_to_circuit",
     "normalize_angle",
     "num_qubits",
     "parse_json",
-    "parse_ket",
-    "r1_matrix",
-    "ry_matrix",
-    "rz_matrix",
     "save_matrix",
     "two_level_angles",
     "validate_unitary",
     "verify",
-    "zyz_decompose",
     "zyz_reconstruct",
     "__version__",
 ]

@@ -33,9 +33,9 @@ construction.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -111,6 +111,13 @@ def check_angle(kind: GateKind, angle: float | None) -> float | None:
     if kind in ROTATION_KINDS:
         if angle is None:
             raise ValueError(f"kind {kind.value!r} requires an angle")
+        # a real number: bool, an int subclass, and a string, which float()
+        # would read, raise; a float, as parsed JSON holds, skips the slow
+        # ABC test
+        if type(angle) is not float and (
+            isinstance(angle, bool) or not isinstance(angle, numbers.Real)
+        ):
+            raise ValueError(f"angle must be a real number, got {angle!r}")
         try:
             angle = float(angle)
         except OverflowError:
@@ -234,26 +241,6 @@ def census(circuit: Circuit) -> GateCensus:
         r1=counts[GateKind.FCR1],
         fcx=counts[GateKind.FCX],
     )
-
-
-def ry_matrix(angle: float) -> np.ndarray:
-    half = angle / 2.0
-    return np.array(
-        [[math.cos(half), math.sin(half)], [-math.sin(half), math.cos(half)]],
-        dtype=np.complex128,
-    )
-
-
-def rz_matrix(angle: float) -> np.ndarray:
-    half = angle / 2.0
-    return np.array(
-        [[cmath.exp(1j * half), 0.0], [0.0, cmath.exp(-1j * half)]],
-        dtype=np.complex128,
-    )
-
-
-def r1_matrix(angle: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * angle)]], dtype=np.complex128)
 
 
 class _Wiring(NamedTuple):

@@ -35,6 +35,12 @@ JSON_IR_VERSION = 1
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# identifiers the emitted Q# text uses itself: an operation named X would
+# call itself from its own body, one named operation would not parse
+_QSHARP_TAKEN = frozenset(
+    "X Ry Rz R1 Controlled qs operation is Adj Ctl Unit Qubit".split()
+)
+
 _QUBIT_ORDER_NOTE = (
     "qubit j is bit j of the basis-state index (little-endian: the"
     " leftmost character of a ket string is qubit 0)"
@@ -89,6 +95,10 @@ def check_operation_name(name: str) -> None:
     """Raise ValueError unless ``name`` is a valid Q# operation name."""
     if not _IDENTIFIER_RE.fullmatch(name):
         raise ValueError(f"invalid Q# operation name: {name!r}")
+    if name in _QSHARP_TAKEN:
+        raise ValueError(
+            f"invalid Q# operation name: {name!r} is used by the emitted code"
+        )
 
 
 def emit_qsharp(circuit: Circuit, operation_name: str = "ApplyUnitary") -> str:

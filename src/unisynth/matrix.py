@@ -6,13 +6,13 @@ qubit ``j``, so the leftmost character of a ket string is qubit 0 and is the
 least significant bit.  For ``n=5`` the state 25 renders as ``"10011"``.
 
 Contains:
-- ``is_unitary`` / ``validate_unitary``: Frobenius-norm unitarity checks
-  (``validate_unitary`` also rejects NaN and infinite entries).
+- ``unitarity_residual`` / ``validate_unitary``: the Frobenius norm of
+  ``M†M - I`` and the input check built on it (which also rejects NaN and
+  infinite entries).
 - ``check_tolerance``: the one rule for a caller-supplied tolerance.
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format, read
   through ``decode_json``, which ``parse_json`` shares.
-- ``ket_string`` / ``parse_ket``: state-index rendering helpers.
 """
 
 from __future__ import annotations
@@ -72,16 +72,6 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(m.conj().T @ m - eye))
 
 
-def is_unitary(matrix: np.ndarray, tol: float | None = None) -> bool:
-    """True iff the Frobenius norm of (M†M - I) is within ``tol``."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if tol is None:
-        tol = default_unitarity_tol(m.shape[0])
-    return unitarity_residual(m) <= tol
-
-
 def validate_unitary(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Check shape, finiteness and unitarity, returning a fresh complex128 copy.
 
@@ -126,24 +116,6 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r)
     return q * (diag.conj() / np.abs(diag))
-
-
-def ket_string(index: int, n: int) -> str:
-    """Render a state index as its n-character ket string (qubit 0 leftmost)."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"state index {index} out of range for {n} qubits")
-    return "".join("1" if (index >> j) & 1 else "0" for j in range(n))
-
-
-def parse_ket(ket: str) -> int:
-    """Inverse of ``ket_string``; the qubit count is the string length."""
-    value = 0
-    for j, ch in enumerate(ket):
-        if ch == "1":
-            value |= 1 << j
-        elif ch != "0":
-            raise ValueError(f"ket strings contain only 0/1, got {ket!r}")
-    return value
 
 
 def save_matrix(matrix: np.ndarray) -> str:

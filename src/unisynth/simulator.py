@@ -17,14 +17,16 @@ physical row ``i ^ frame``.
   bit of logical 0 (one view) or 1 (the other), and every other qubit's
   axis is left whole.
 
-The result equals (``np.array_equal``) a row-by-row application of every
-gate's 2x2 block in logical order.  Moving the frame is a permutation with
-no arithmetic.  Each updated row goes through the same scalar-first products
-and sums as the full 2x2 update.  The zero products of diagonal blocks and
-the product by R1's exact 1 are skipped, which is exact because adding a
-zero or multiplying by one does not change a value.  The coefficients are
-Python scalars computed from the angle as ``gate_block`` computes its
-entries; no 2x2 array is built per gate.
+The specification is the masked reference simulator in
+``tests/masked_simulator.py``, which applies every gate's 2x2 block (built
+there by ``gate_block``) row by row in logical order; the result equals it
+(``np.array_equal``).  Moving the frame is a permutation with no arithmetic.
+Each updated row goes through the same scalar-first products and sums as the
+full 2x2 update.  The zero products of diagonal blocks and the product by
+R1's exact 1 are skipped, which is exact because adding a zero or
+multiplying by one does not change a value.  The coefficients are Python
+scalars computed from the angle as ``gate_block`` computes its entries; no
+2x2 array is built per gate.
 """
 
 from __future__ import annotations
@@ -35,29 +37,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, r1_matrix, ry_matrix, rz_matrix
+from .circuit import Circuit, Gate, GateKind
 from .matrix import DimensionError, check_tolerance
 
 
 _SWAP_KINDS = frozenset({GateKind.X, GateKind.FCX})
 
 
-def gate_block(gate: Gate) -> np.ndarray:
-    """The 2x2 matrix a gate applies on its target pair."""
-    if gate.kind in _SWAP_KINDS:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    if gate.kind is GateKind.FCRY:
-        return ry_matrix(gate.angle)
-    if gate.kind is GateKind.FCRZ:
-        return rz_matrix(gate.angle)
-    return r1_matrix(gate.angle)
-
-
 def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
     """Apply a gate's 2x2 block in place to its target-bit-0 and -1 rows.
 
-    The coefficients are Python scalars computed from the angle with the
-    same expressions as ``ry_matrix``, ``rz_matrix`` and ``r1_matrix``; numpy
+    Specified by ``gate_block`` in ``tests/masked_simulator.py``: the
+    coefficients are Python scalars computed from the angle with the same
+    expressions as its ``ry_matrix``, ``rz_matrix`` and ``r1_matrix``; numpy
     turns a float into a complex with a +0 imaginary part, as those arrays
     hold it.  Scalars multiply first (``b * row``, never ``row * b``):
     numpy's complex multiply may round the two orders differently in the
@@ -106,12 +98,6 @@ def _row_views(
     low = qubit_axes[tuple(index)]
     index[n - 1 - target] = low_bit ^ 1
     return low, qubit_axes[tuple(index)]
-
-
-def gate_matrix(gate: Gate, n: int) -> np.ndarray:
-    """Full 2**n matrix of a single gate."""
-    # the Circuit bounds-checks the gate's qubits against n
-    return circuit_matrix(Circuit(n, (gate,)))
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:

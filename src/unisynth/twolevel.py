@@ -1,6 +1,7 @@
 """Reduction of a unitary into two-level matrices on one-bit state pairs.
 
-The input is reindexed by the binary-reflected Gray code, then brought to the
+The input is reindexed on both axes by the binary-reflected Gray code
+(``gray_permutation``, applied by ``gray_conjugate``), then brought to the
 identity by right-multiplying 2x2 rotations onto adjacent column pairs, top
 row first and rightmost entry first.  In the Gray frame adjacent indices
 differ in one bit, so every emitted block acts on a pair of basis states one
@@ -12,30 +13,23 @@ pair and the ZYZ angles ``(phi, theta, lam, mu)`` it computed (``None`` for
 an exact X block), in application order.  Zeroing ``b`` against ``a`` emits
 ``(0, theta, arg a, arg b)`` with ``theta = atan2(|b|, |a|)``; a pair whose
 states run opposite to its Gray indices emits the X-conjugate,
-``(0, -theta, -arg a, -arg b)``.  Neither these nor the rotation applied to
-the work matrix involve ``pi``, whose float is 1.2e-16 short and would bias
-every block alike.  ``matrix_to_circuit`` turns the angles into gates, and
-``zyz_reconstruct`` multiplies a block's angles out into its 2x2 matrix.  numpy
-runs once per row, to skip its trailing near-zero entries, and once per
-rotation, for the column update: a BLAS matmul, since an elementwise update
-rounds differently.
+``(0, -theta, -arg a, -arg b)``; the trailing 2x2 corner is factored whole.
+Neither these nor the rotation applied to the work matrix involve ``pi``,
+whose float is 1.2e-16 short and would bias every block alike.
+``matrix_to_circuit`` turns the angles into gates, and ``zyz_reconstruct``
+multiplies a block's angles out into its 2x2 matrix.  numpy runs once per
+row, to skip its trailing near-zero entries, and once per rotation, for the
+column update: a BLAS matmul, since an elementwise update rounds differently.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .matrix import (
-    DimensionError,
-    UnitarityError,
-    is_unitary,
-    num_qubits,
-    validate_unitary,
-)
+from .matrix import num_qubits, validate_unitary
 
 # Entries at or below this magnitude are treated as exact zeros when picking
 # the elimination branch.
@@ -57,13 +51,8 @@ _ZERO = complex(0.0, 0.0)
 Angles = tuple[float, float, float, float]
 
 
-def gray_code(index: int) -> int:
-    """Binary-reflected Gray code of an index."""
-    return index ^ (index >> 1)
-
-
 def gray_permutation(n: int) -> np.ndarray:
-    """Array ``pi`` with ``pi[i] = gray_code(i)`` for all ``i < 2**n``."""
+    """The binary-reflected Gray code: ``pi[i] = i ^ (i >> 1)`` for ``i < 2**n``."""
     codes = np.arange(1 << n)
     return codes ^ (codes >> 1)
 
@@ -106,10 +95,13 @@ def _rotation(a: complex, b: complex, abs_b: float) -> tuple:
 def _zyz_angles(
     u00: complex, u01: complex, u10: complex, u11: complex, flip: bool = False
 ) -> Angles:
-    # Unchecked core of zyz_decompose: R1(-phi) scales only row 1, so the
-    # angles read row 0; atan2 keeps the digits acos(|u00|) loses near 0; an
-    # exact zero has phase 0.  ``flip`` gives the form with theta <= 0 that
-    # elimination emits where a pair's states oppose its Gray indices.
+    # The angles of a 2x2 unitary, unchecked, as
+    # U = R1(phi) Rz(lam+mu) Ry(2*theta) Rz(lam-mu): phi is det's phase, and
+    # R1(-phi) scales only row 1, so the rest read row 0; atan2 keeps the
+    # digits acos(|u00|) loses near 0 and gives theta in [0, pi/2]; an exact
+    # zero has phase 0, so diagonal and antidiagonal inputs give canonical
+    # forms.  ``flip`` gives the form with theta <= 0 that elimination emits
+    # where a pair's states oppose its Gray indices.
     phi = cmath.phase(u00 * u11 - u01 * u10)
     theta = math.atan2(abs(u01), abs(u00))
     if flip:
@@ -120,32 +112,7 @@ def _zyz_angles(
     return phi, theta, lam, mu
 
 
-class ZYZAngles(NamedTuple):
-    """Factorization U = R1(phi) Rz(lam+mu) Ry(2*theta) Rz(lam-mu)."""
-
-    phi: float
-    theta: float
-    lam: float
-    mu: float
-
-
-def zyz_decompose(matrix: np.ndarray) -> ZYZAngles:
-    """Factor a 2x2 unitary into the R1/Rz/Ry/Rz angle tuple.
-
-    phi is the determinant phase; the remaining angles come from the special
-    unitary R1(-phi) @ U, with ``theta = atan2(|u01|, |u00|)`` in
-    ``[0, pi/2]``.  Zero entries yield zero phase angles, so diagonal and
-    antidiagonal inputs produce canonical forms.
-    """
-    u = np.asarray(matrix, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, 1e-10):
-        raise UnitarityError("zyz_decompose requires a unitary matrix")
-    return ZYZAngles(*_zyz_angles(*u.ravel().tolist()))
-
-
-def zyz_reconstruct(angles: ZYZAngles) -> np.ndarray:
+def zyz_reconstruct(angles: Angles) -> np.ndarray:
     """``R1(phi) Rz(lam+mu) Ry(2*theta) Rz(lam-mu)``, multiplied out."""
     phi, theta, lam, mu = angles
     cos_t = math.cos(theta)

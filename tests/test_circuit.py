@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from unisynth import (
     Circuit,
-    DimensionError,
     Gate,
     GateKind,
     UnitarityError,
@@ -18,17 +17,14 @@ from unisynth import (
     haar_random_unitary,
     matrix_to_circuit,
     normalize_angle,
-    parse_ket,
-    r1_matrix,
-    ry_matrix,
-    rz_matrix,
     verify,
-    zyz_decompose,
     zyz_reconstruct,
 )
 from unisynth import circuit as circuit_module
 from unisynth.circuit import IDENTITY_ANGLE_TOL, ROTATION_KINDS
+from unisynth.twolevel import _zyz_angles
 
+from masked_simulator import r1_matrix, ry_matrix, rz_matrix
 from test_golden import BLOCK_INPUTS, GOLDEN
 
 TWO_PI = 2.0 * math.pi
@@ -139,47 +135,47 @@ def test_circuit_rejects_out_of_range_qubits():
         Circuit(0, ())
 
 
+def _zyz(u):
+    """``(phi, theta, lam, mu)`` of a 2x2 unitary, by the trailing-corner core."""
+    return _zyz_angles(*np.asarray(u, dtype=np.complex128).ravel().tolist())
+
+
 def test_zyz_identity_is_all_zero():
-    angles = zyz_decompose(np.eye(2))
+    angles = _zyz(np.eye(2))
     assert angles == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_zyz_phase_gate_canonical_form():
     # phase lands entirely in phi: row 0 of R1(-phi)*U stays (1, 0)
-    angles = zyz_decompose(np.diag([1.0, 1j]))
-    assert angles.phi == pytest.approx(math.pi / 2)
-    assert angles.theta == pytest.approx(0.0, abs=1e-15)
-    assert angles.lam == pytest.approx(0.0, abs=1e-15)
-    assert angles.mu == pytest.approx(0.0, abs=1e-15)
+    angles = _zyz(np.diag([1.0, 1j]))
+    phi, theta, lam, mu = angles
+    assert phi == pytest.approx(math.pi / 2)
+    assert theta == pytest.approx(0.0, abs=1e-15)
+    assert lam == pytest.approx(0.0, abs=1e-15)
+    assert mu == pytest.approx(0.0, abs=1e-15)
     assert np.abs(zyz_reconstruct(angles) - np.diag([1.0, 1j])).max() <= 1e-12
 
 
 def test_zyz_pure_ry_recovers_half_angle():
-    angles = zyz_decompose(ry_matrix(1.0))
-    assert angles.theta == pytest.approx(0.5)
-    assert angles.phi == pytest.approx(0.0, abs=1e-15)
+    phi, theta, _, _ = _zyz(ry_matrix(1.0))
+    assert theta == pytest.approx(0.5)
+    assert phi == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zyz_swap_block():
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    angles = zyz_decompose(x)
-    assert angles.theta == pytest.approx(math.pi / 2)
-    assert angles.phi == pytest.approx(math.pi)
+    angles = _zyz(x)
+    phi, theta, _, _ = angles
+    assert theta == pytest.approx(math.pi / 2)
+    assert phi == pytest.approx(math.pi)
     assert np.allclose(zyz_reconstruct(angles), x, atol=1e-15)
 
 
 def test_zyz_round_trip_over_many_unitaries():
     for seed in range(200):
         u = haar_random_unitary(1, seed)
-        angles = zyz_decompose(u)
+        angles = _zyz(u)
         assert np.abs(zyz_reconstruct(angles) - u).max() <= 1e-12
-
-
-def test_zyz_rejects_bad_input():
-    with pytest.raises(DimensionError):
-        zyz_decompose(np.eye(4))
-    with pytest.raises(UnitarityError):
-        zyz_decompose(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def _gates_matrix(gates, n):
@@ -212,8 +208,8 @@ def _gray_pairs(n):
 def test_two_level_to_gates_five_qubit_wrappers():
     # states 00101 and 00111 (Gray indices 24 and 23) differ in bit 3; bits
     # 0 and 1 of s1 are zero
-    s1 = parse_ket("00101")
-    s2 = parse_ket("00111")
+    s1 = 20  # ket 00101: qubit 0 is the leftmost character, bit 0
+    s2 = 28  # ket 00111
     u = _two_level(s1, s2, _su2(3), 5)
     gates = matrix_to_circuit(u, optimize=False).gates
     assert [g.kind for g in gates[:2]] == [GateKind.X, GateKind.X]
@@ -348,6 +344,28 @@ def test_matrix_to_circuit_unoptimized_agrees_with_optimized():
 def test_gate_rejects_non_finite_angle(kind, angle):
     with pytest.raises(ValueError, match="finite"):
         Gate(kind, 0, (), angle)
+
+
+@pytest.mark.parametrize(
+    "angle",
+    ["0.5", True, False, 0.5j, None],
+    ids=["str", "True", "False", "complex", "None"],
+)
+def test_gate_rejects_an_angle_that_is_not_a_real_number(angle):
+    # float() would read "0.5" and True as angles 0.5 and 1.0, which
+    # parse_json rejects
+    with pytest.raises(ValueError, match="angle"):
+        Gate(GateKind.FCRY, 0, (), angle)
+
+
+@pytest.mark.parametrize(
+    "angle",
+    [1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(1)],
+    ids=["int", "float", "float64", "float32", "int64"],
+)
+def test_gate_accepts_real_number_angles(angle):
+    gate = Gate(GateKind.FCRY, 0, (), angle)
+    assert type(gate.angle) is float and gate.angle == float(angle)
 
 
 def test_matrix_to_circuit_rejects_nan_matrix():

@@ -424,6 +424,22 @@ def test_decompose_checks_operation_name_before_compiling(matrix_file, monkeypat
     assert "invalid Q# operation name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["X", "operation"])
+def test_decompose_operation_name_the_emitted_code_uses_is_input_error(
+    name, matrix_file, monkeypatch, capsys
+):
+    # --name X wrote an operation X whose body calls X(qs[0]): itself
+    def never(*args, **kwargs):
+        raise AssertionError("compiled before the name was checked")
+
+    monkeypatch.setattr("unisynth.cli.matrix_to_circuit", never)
+    path = matrix_file(np.array([[0, 1], [1, 0]]))
+    assert main(["decompose", "-i", path, "--name", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid Q# operation name: {name!r}" in captured.err
+
+
 def test_verify_boolean_angle_is_input_error(matrix_file, tmp_path, capsys):
     path = matrix_file(np.eye(2))
     circuit_path = tmp_path / "c.json"

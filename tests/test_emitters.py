@@ -2,8 +2,8 @@
 
 The convention checks compare against backend gate semantics hard-coded
 here from the Q# and stdgates definitions (ry/rz are exp(-i theta sigma/2),
-p and R1 are diag(1, e^{i theta})), independent of the package's own
-rotation constructors.
+p and R1 are diag(1, e^{i theta})), independent of the IR's rotation
+constructors in ``masked_simulator.py``.
 """
 
 import json
@@ -22,13 +22,13 @@ from unisynth import (
     emit_json,
     emit_qasm3,
     emit_qsharp,
-    gate_block,
     haar_random_unitary,
     matrix_to_circuit,
     parse_json,
 )
 
 from conftest import random_circuit
+from masked_simulator import gate_block
 
 
 def backend_ry(theta):
@@ -100,6 +100,16 @@ def test_qsharp_rejects_bad_operation_name():
     # a trailing newline once passed and broke the operation header
     with pytest.raises(ValueError):
         emit_qsharp(Circuit(1, ()), operation_name="Foo\n")
+
+
+def test_qsharp_rejects_operation_names_the_emitted_code_uses():
+    # an operation named X would call itself from its own body
+    taken = "X Ry Rz R1 Controlled qs operation is Adj Ctl Unit Qubit".split()
+    for name in taken:
+        with pytest.raises(ValueError, match="used by the emitted code"):
+            emit_qsharp(Circuit(1, (Gate(GateKind.X, 0),)), operation_name=name)
+    for name in ("Rx", "XGate", "Operation"):
+        assert f"operation {name}(" in emit_qsharp(Circuit(1, ()), operation_name=name)
 
 
 def test_qsharp_deterministic():

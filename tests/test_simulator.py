@@ -9,26 +9,24 @@ from unisynth import (
     Gate,
     GateKind,
     circuit_matrix,
-    gate_block,
-    gate_matrix,
     haar_random_unitary,
     matrix_to_circuit,
-    ry_matrix,
     verify,
 )
 from unisynth.simulator import default_verification_tol
 
 from conftest import CNOT, random_circuit
-from masked_simulator import masked_circuit_matrix
+from masked_simulator import gate_block, masked_circuit_matrix, ry_matrix
 
 
 def test_single_x_matrix():
-    assert np.array_equal(gate_matrix(Gate(GateKind.X, 0), 1), [[0, 1], [1, 0]])
+    got = circuit_matrix(Circuit(1, (Gate(GateKind.X, 0),)))
+    assert np.array_equal(got, [[0, 1], [1, 0]])
 
 
 def test_x_on_qubit_one_of_two():
     # qubit 1 is the high bit, so the swap pairs are (0,2) and (1,3)
-    got = gate_matrix(Gate(GateKind.X, 1), 2)
+    got = circuit_matrix(Circuit(2, (Gate(GateKind.X, 1),)))
     expected = np.zeros((4, 4))
     for i in range(4):
         expected[i ^ 2, i] = 1.0
@@ -37,19 +35,19 @@ def test_x_on_qubit_one_of_two():
 
 def test_fcx_control_high_target_low_is_cnot():
     # control qubit 1, target qubit 0: block sits on states 2 and 3
-    got = gate_matrix(Gate(GateKind.FCX, 0, (1,)), 2)
+    got = circuit_matrix(Circuit(2, (Gate(GateKind.FCX, 0, (1,)),)))
     assert np.array_equal(got, CNOT)
 
 
 def test_fcx_control_low_target_high():
-    got = gate_matrix(Gate(GateKind.FCX, 1, (0,)), 2)
+    got = circuit_matrix(Circuit(2, (Gate(GateKind.FCX, 1, (0,)),)))
     expected = np.eye(4)[:, [0, 3, 2, 1]]
     assert np.array_equal(got, expected)
 
 
 def test_fcry_pi_acts_on_controlled_pair():
     # controls satisfied only on states with qubit 1 set: the (2, 3) pair
-    got = gate_matrix(Gate(GateKind.FCRY, 0, (1,), np.pi), 2)
+    got = circuit_matrix(Circuit(2, (Gate(GateKind.FCRY, 0, (1,), np.pi),)))
     expected = np.eye(4, dtype=complex)
     expected[2:, 2:] = ry_matrix(np.pi)
     assert np.allclose(got, expected, atol=1e-15)
@@ -81,7 +79,7 @@ def test_every_gate_matrix_is_unitary(n):
                     gate = Gate(kind, target, controls)
                 else:
                     gate = Gate(kind, target, controls, float(rng.uniform(-6, 6)))
-                m = gate_matrix(gate, n)
+                m = circuit_matrix(Circuit(n, (gate,)))
                 assert np.linalg.norm(m.conj().T @ m - np.eye(1 << n)) <= 1e-12
 
 
@@ -95,8 +93,9 @@ def test_x_pair_is_identity_exactly():
 
 
 def test_gate_matrix_bounds_check():
+    # the Circuit bounds-checks the gate's qubits against n
     with pytest.raises(ValueError):
-        gate_matrix(Gate(GateKind.X, 3), 2)
+        circuit_matrix(Circuit(2, (Gate(GateKind.X, 3),)))
 
 
 def test_two_level_realization_matches_embedding():
