@@ -20,7 +20,7 @@ from .emitters import (
     parse_json,
 )
 from .matrix import QUBIT_LIMIT, check_tolerance, haar_random_unitary
-from .matrix import load_matrix, validate_unitary
+from .matrix import MatrixFormatError, load_matrix, validate_unitary
 from .simulator import default_verification_tol, verify
 
 
@@ -87,11 +87,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_matrix(path: str):
+def _read_text(path: str, what: str, error: type[ValueError]) -> str:
+    """A UTF-8 file's text; text that is not UTF-8 raises ``error``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise OSError(f"cannot read matrix file: {exc}") from None
+        raise OSError(f"cannot read {what} file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: cannot decode text: {exc}") from None
+
+
+def _read_matrix(path: str):
+    text = _read_text(path, "matrix", MatrixFormatError)
     try:
         return load_matrix(text)
     except ValueError as exc:
@@ -136,10 +143,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     matrix = validate_unitary(_read_matrix(args.input))
-    try:
-        text = Path(args.circuit).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read circuit file: {exc}") from None
+    text = _read_text(args.circuit, "circuit", CircuitFormatError)
     try:
         circuit = parse_json(text)
     except CircuitFormatError as exc:

@@ -41,6 +41,17 @@ _QSHARP_TAKEN = frozenset(
     "X Ry Rz R1 Controlled qs operation is Adj Ctl Unit Qubit".split()
 )
 
+# Q#'s reserved words, which no operation may be named: the language's
+# keywords, its literals and its primitive type names
+_QSHARP_RESERVED = frozenset(
+    """_ Adj Adjoint BigInt Bool Controlled Ctl Double Int One Pauli PauliI
+    PauliX PauliY PauliZ Qubit Range Result String Unit Zero adjoint and apply
+    as auto body borrow borrowing controlled distribute elif else export fail
+    false fixup for function if import in internal intrinsic invert is let
+    mutable namespace new newtype not open operation or repeat return self set
+    struct true until use using while within""".split()
+)
+
 _QUBIT_ORDER_NOTE = (
     "qubit j is bit j of the basis-state index (little-endian: the"
     " leftmost character of a ket string is qubit 0)"
@@ -98,6 +109,10 @@ def check_operation_name(name: str) -> None:
     if name in _QSHARP_TAKEN:
         raise ValueError(
             f"invalid Q# operation name: {name!r} is used by the emitted code"
+        )
+    if name in _QSHARP_RESERVED:
+        raise ValueError(
+            f"invalid Q# operation name: {name!r} is a Q# reserved word"
         )
 
 

@@ -11,14 +11,17 @@ Contains:
   infinite entries).
 - ``check_tolerance``: the one rule for a caller-supplied tolerance.
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
-- ``save_matrix`` / ``load_matrix``: the JSON matrix file format, read
-  through ``decode_json``, which ``parse_json`` shares.
+- ``save_matrix`` / ``load_matrix``: the JSON matrix file format.  Text in
+  the exact layout ``save_matrix`` writes is parsed in bulk by one numpy call;
+  any other JSON layout goes through ``decode_json``, which ``parse_json``
+  shares, and yields the same bits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -141,17 +144,62 @@ def decode_json(text: str | bytes, error: type[ValueError]) -> object:
         ) from None
     except RecursionError:
         raise error("JSON is nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot decode text: {exc}") from None
+
+
+# The layout save_matrix writes: json.dumps's default separators, the keys in
+# this order, and every number in JSON float form (with a fraction or an
+# exponent), which json.loads reads with float().  Integer tokens are left to
+# json.loads: it reads -0 as the int 0, where float() gives -0.0.
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_SAVED_HEAD = re.compile(r'\{"n": ([1-9]), "matrix": \[\[\[')
+_SAVED_TAIL = "]]]}"
+# one row without its outer brackets: "re, im], [re, im], ..., [re, im"
+_SAVED_ROW = re.compile(rf"{_FLOAT}, {_FLOAT}(?:\], \[{_FLOAT}, {_FLOAT})*")
 
 
 def load_matrix(text: str | bytes) -> np.ndarray:
     """Parse the JSON matrix format; finiteness and unitarity are unchecked.
 
     Raises:
-        MatrixFormatError: malformed or too deeply nested JSON, wrong
-            document structure, an entry that is not a pair of JSON numbers
-            (``true``/``false`` are not numbers), or a number too large.
+        MatrixFormatError: malformed, undecodable or too deeply nested JSON,
+            wrong document structure, an entry that is not a pair of JSON
+            numbers (``true``/``false`` are not numbers), or a number too
+            large.
         DimensionError: dimension not 2**n or inconsistent with "n".
     """
+    matrix = _load_saved(text)
+    return _load_json(text) if matrix is None else matrix
+
+
+def _load_saved(text: str | bytes) -> np.ndarray | None:
+    """Parse text in ``save_matrix``'s exact layout in bulk; None for any other.
+
+    Each of the ``2**n`` rows must match ``_SAVED_ROW`` with ``2**n`` pairs.
+    The numbers are then converted by one ``np.fromstring`` call, which reads
+    a float through the same CPython routine as ``float()``, so the result
+    has the bits ``_load_json`` returns, signed zeros included.
+    """
+    if not isinstance(text, str) or not text.endswith(_SAVED_TAIL):
+        return None
+    head = _SAVED_HEAD.match(text)
+    if head is None:
+        return None
+    dim = 1 << int(head[1])
+    rows = text[head.end() : -len(_SAVED_TAIL)].split("]], [[")
+    if len(rows) != dim:
+        return None
+    for row in rows:
+        if row.count("[") != dim - 1 or _SAVED_ROW.fullmatch(row) is None:
+            return None
+    numbers = ", ".join(rows).replace("], [", ", ")
+    pairs = np.fromstring(numbers, dtype=np.float64, sep=",")
+    return pairs.view(np.complex128).reshape(dim, dim)
+
+
+def _load_json(text: str | bytes) -> np.ndarray:
+    """``load_matrix`` for any JSON layout, through ``json.loads``."""
     doc = decode_json(text, MatrixFormatError)
     if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
         raise MatrixFormatError('expected an object with "n" and "matrix" keys')

@@ -381,6 +381,27 @@ def test_deeply_nested_json_is_input_error(matrix_file, tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize(
+    "command, bad",
+    [("decompose", "matrix"), ("verify", "matrix"), ("verify", "circuit")],
+)
+def test_non_utf8_file_is_input_error_naming_the_file(
+    matrix_file, tmp_path, capsys, command, bad
+):
+    # the decode error used to escape the readers without the file's path
+    path = matrix_file(np.eye(2))
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text('{"version": 1, "n": 1, "gates": []}', encoding="utf-8")
+    bad_path = path if bad == "matrix" else str(circuit_path)
+    Path(bad_path).write_bytes(b"\xff\xfe\x00")
+    argv = [command, "-i", path]
+    if command == "verify":
+        argv += ["-c", str(circuit_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_path}: cannot decode text: 'utf-8' codec")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["decompose", "--backend", backend] for backend in ("qsharp", "qasm3", "json")]
     + [["verify"]],
@@ -424,11 +445,14 @@ def test_decompose_checks_operation_name_before_compiling(matrix_file, monkeypat
     assert "invalid Q# operation name" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["X", "operation"])
+@pytest.mark.parametrize(
+    "name", ["X", "operation", "let", "use", "body", "Adjoint", "true"]
+)
 def test_decompose_operation_name_the_emitted_code_uses_is_input_error(
     name, matrix_file, monkeypatch, capsys
 ):
-    # --name X wrote an operation X whose body calls X(qs[0]): itself
+    # --name X wrote an operation X whose body calls X(qs[0]): itself, and
+    # --name let an operation that does not parse
     def never(*args, **kwargs):
         raise AssertionError("compiled before the name was checked")
 

@@ -108,7 +108,11 @@ def test_qsharp_rejects_operation_names_the_emitted_code_uses():
     for name in taken:
         with pytest.raises(ValueError, match="used by the emitted code"):
             emit_qsharp(Circuit(1, (Gate(GateKind.X, 0),)), operation_name=name)
-    for name in ("Rx", "XGate", "Operation"):
+    # a Q# reserved word does not parse as an operation name
+    for name in ("let", "use", "body", "Adjoint", "true", "_"):
+        with pytest.raises(ValueError, match="is a Q# reserved word"):
+            emit_qsharp(Circuit(1, ()), operation_name=name)
+    for name in ("Rx", "XGate", "Operation", "Let", "uses", "_body"):
         assert f"operation {name}(" in emit_qsharp(Circuit(1, ()), operation_name=name)
 
 

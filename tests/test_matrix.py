@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unisynth import (
     CircuitFormatError,
@@ -17,7 +19,12 @@ from unisynth import (
     save_matrix,
     validate_unitary,
 )
-from unisynth.matrix import default_unitarity_tol, unitarity_residual
+from unisynth.matrix import (
+    _load_json,
+    _load_saved,
+    default_unitarity_tol,
+    unitarity_residual,
+)
 
 from conftest import CNOT
 
@@ -214,11 +221,155 @@ def test_load_rejects_huge_qubit_count_without_building_it():
         ('{"n": 1', "^invalid JSON at line 1 column 8: Expecting ',' delimiter$"),
         ("\n  [1,]", "^invalid JSON at line 2 column 6: Expecting value$"),
         ("[" * 100_000, "^JSON is nested too deeply$"),
+        (
+            b"\xff\xfe\x00",
+            "^cannot decode text: 'utf-16-le' codec can't decode byte 0x00 "
+            "in position 2: truncated data$",
+        ),
     ],
-    ids=["truncated", "trailing-comma", "deep"],
+    ids=["truncated", "trailing-comma", "deep", "not-unicode"],
 )
 def test_matrix_and_circuit_parsers_report_bad_json_alike(text, message):
     with pytest.raises(MatrixFormatError, match=message):
         load_matrix(text)
     with pytest.raises(CircuitFormatError, match=message):
         parse_json(text)
+
+
+# ------------------------------------------------ bulk path for saved text -----
+
+@st.composite
+def _float_spellings(draw):
+    """A JSON number with a fraction, an exponent or both, in any spelling."""
+    token = draw(st.sampled_from(["", "-"])) + str(draw(st.integers(0, 10**20)))
+    fraction, exponent = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    if fraction:
+        token += "." + draw(st.text("0123456789", min_size=1, max_size=24))
+    if exponent:
+        token += draw(st.sampled_from(["e", "E", "e-", "E+", "e+"]))
+        token += str(draw(st.integers(0, 999)))
+    return token
+
+
+# JSON float tokens: shortest reprs, 17 digits included, and other
+# spellings, overflowing and underflowing ones too
+_FLOAT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _float_spellings(),
+    st.sampled_from(
+        ["-0.0", "5e-324", "-5e-324", "0.30000000000000004", "1e-05", "1E+300", "1e400"]
+    ),
+)
+# json.loads reads integers, but not with float(): -0 is the int 0, where
+# float() gives -0.0.  It reads NaN and Infinity too; the rest are not JSON
+# numbers, although float() reads most of them.
+_OTHER_TOKENS = [
+    "0", "-0", "7", "NaN", "-Infinity", "1.", ".5", "+1.0", "1e", "01.0", "1_0.0", "1\u0661.0"
+]
+
+# each document has at most one departure from the saved layout
+_DEFECTS = ["none"] * 10 + ["token"] * 4 + [
+    "ragged", "rows", "n", "n10", "newline", "compact", "pretty",
+    "keys", "extra", "cut", "bytes", "text", "binary",
+]
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Text in the saved layout, or with one departure from it."""
+    defect = draw(st.sampled_from(_DEFECTS))
+    if defect == "text":
+        return draw(st.text())
+    if defect == "binary":
+        return draw(st.binary())
+    n = draw(st.integers(1, 2))
+    dim = 1 << n
+    tokens = [draw(_FLOAT_TOKENS) for _ in range(2 * dim * dim)]
+    if defect == "token":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_OTHER_TOKENS))
+    pairs = [f"[{re}, {im}]" for re, im in zip(tokens[::2], tokens[1::2])]
+    rows = [pairs[i : i + dim] for i in range(0, len(pairs), dim)]
+    if defect in ("ragged", "rows"):
+        # one pair or one row too many or too few
+        changed = rows[draw(st.integers(0, dim - 1))] if defect == "ragged" else rows
+        if draw(st.booleans()):
+            changed.append(changed[0])
+        else:
+            changed.pop()
+    matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    header = str(n)
+    if defect == "n":
+        header = str(n + draw(st.sampled_from([-1, 1])))
+    if defect == "n10":
+        header = "10"
+    text = f'{{"n": {header}, "matrix": {matrix}}}'
+    if defect == "newline":
+        return text + "\n"
+    if defect == "compact":
+        return text.replace(", ", ",").replace(": ", ":")
+    if defect == "pretty":
+        return text.replace("]], [[", "]],\n  [[")
+    if defect == "keys":
+        return f'{{"matrix": {matrix}, "n": {header}}}'
+    if defect == "extra":
+        return text[:-1] + ', "note": 1}'
+    if defect == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if defect == "bytes":
+        return text.encode()
+    return text
+
+
+def _outcome(parse, text):
+    """The array's shape and bytes, or the exception's type and message."""
+    try:
+        m = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.dtype, m.shape, m.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_texts())
+def test_load_matrix_is_bit_identical_to_the_json_path(text):
+    # the bulk path either yields the json.loads path's bits, signed zeros
+    # included, or declines, and then the same error comes out
+    assert _outcome(load_matrix, text) == _outcome(_load_json, text)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_saved_layout_is_parsed_in_bulk(n):
+    rng = np.random.default_rng(n)
+    m = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << n)))
+    m[0, 1] = complex(-0.0, -0.0)
+    m[1, 0] = complex(0.0, -0.0)
+    text = save_matrix(m)
+    bulk = _load_saved(text)
+    assert bulk is not None
+    assert bulk.tobytes() == m.tobytes()
+
+
+_SAVED_I = '{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _SAVED_I.encode(),
+        _SAVED_I + "\n",
+        _SAVED_I.replace("]], [[", "]],\n [["),
+        _SAVED_I.replace('"n": 1, ', "")[:-1] + ', "n": 1}',
+        _SAVED_I.replace("1.0, 0.0]]]", "1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
+        _SAVED_I.replace("[1.0, 0.0]]]", "[1.0, 0.0], [0.0, 0.0]]]"),
+        _SAVED_I.replace('"n": 1', '"n": 2'),
+    ],
+    ids=["bytes", "newline", "pretty", "key-order", "extra-row", "ragged", "wrong-n"],
+)
+def test_other_layouts_go_to_the_json_path(text):
+    assert _load_saved(_SAVED_I) is not None
+    assert _load_saved(text) is None
+
+
+@pytest.mark.parametrize("token", _OTHER_TOKENS)
+def test_tokens_not_in_json_float_form_go_to_the_json_path(token):
+    assert _load_saved(_SAVED_I.replace("[1.0, 0.0]]]", f"[{token}, 0.0]]]")) is None
