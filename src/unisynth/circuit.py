@@ -22,8 +22,10 @@ under an X.  Before each chain, synthesis flips the qubits where the frame
 differs from the chain's wrap, and it empties the frame at the end.
 Consecutive Gray-adjacent blocks share most of their wraps, so most X gates
 are never emitted; ``optimize=False`` empties the frame after every block
-instead, which wraps each block in its own X gates.  A block whose links are
-all identity rotations emits nothing, wraps included.
+instead, which wraps each block in its own X gates.  Synthesis leaves out
+rotations within ``IDENTITY_ANGLE_TOL`` of the identity, the tolerance by which
+elimination (``twolevel.py``) already skips whole identity blocks, so every
+block it is given emits a non-empty chain.
 
 Synthesis shares one X gate per qubit and one control tuple per target
 (``Gate`` is frozen) and builds rotation gates through ``trusted_gate``
@@ -44,14 +46,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .matrix import num_qubits
-from .twolevel import two_level_angles
+from .twolevel import IDENTITY_ANGLE_TOL, two_level_angles
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
-
-# Rotations with a normalized angle at or below this magnitude act as the
-# identity; synthesis leaves them out.
-IDENTITY_ANGLE_TOL = 1e-12
 
 
 class GateKind(str, Enum):
@@ -324,8 +322,6 @@ def matrix_to_circuit(
     frame = 0
     for s1, s2, angles in blocks:
         chain = _chain(wiring, (s1 ^ s2).bit_length() - 1, angles)
-        if not chain:
-            continue
         # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves
         # at 0: X on each of them makes every control test for 1
         frame = _move_frame(gates, x, frame, full & ~s2)

@@ -14,6 +14,9 @@ an exact X block), in application order.  Zeroing ``b`` against ``a`` emits
 ``(0, theta, arg a, arg b)`` with ``theta = atan2(|b|, |a|)``; a pair whose
 states run opposite to its Gray indices emits the X-conjugate,
 ``(0, -theta, -arg a, -arg b)``; the trailing 2x2 corner is factored whole.
+Two rules decide every block, the corner's included: an entry at or below
+``ZERO_THRESHOLD`` is an exact zero, and an angle or phase at or below
+``IDENTITY_ANGLE_TOL`` is the identity, so no block is all identity links.
 Neither these nor the rotation applied to the work matrix involve ``pi``,
 whose float is 1.2e-16 short and would bias every block alike.
 ``matrix_to_circuit`` turns the angles into gates, and ``zyz_reconstruct``
@@ -35,14 +38,11 @@ from .matrix import num_qubits, validate_unitary
 # the elimination branch.
 ZERO_THRESHOLD = 1e-10
 
-# A finished diagonal entry whose phase is farther than this from 0 gets an
-# explicit phase block; generic inputs never trip it.  Drift in its modulus
-# alone, which a phase block cannot remove, never does.
-_PHASE_TOL = 1e-12
-
-# The trailing 2x2 corner is kept only if it differs from identity by more
-# than this in Frobenius norm.
-_FINAL_IDENTITY_TOL = 1e-10
+# Angles and phases at or below this magnitude act as the identity: a
+# finished diagonal entry whose phase is farther from 0 gets an explicit
+# phase block (drift in its modulus alone, which a phase block cannot
+# remove, never does), and synthesis leaves out rotations within it.
+IDENTITY_ANGLE_TOL = 1e-12
 
 # the X block's entries; a phase block's off-diagonal is _ZERO too
 _ONE = complex(1.0, 0.0)
@@ -172,7 +172,7 @@ def two_level_angles(
                 theta, arg_a, arg_b = angles
                 out.append((s1, s2, (0.0, sign * theta, sign * arg_a, sign * arg_b)))
         arg = cmath.phase(work.item(row, row))
-        if abs(arg) > _PHASE_TOL:
+        if abs(arg) > IDENTITY_ANGLE_TOL:
             # Zero entries along the row can leave a unit-modulus phase on
             # the diagonal; rotate it onto the next column so the row
             # finishes at exactly e_row.
@@ -181,13 +181,16 @@ def two_level_angles(
             work[row:, row : row + 2] = work[row:, row : row + 2] @ rotation
             s1, s2, sign = pairs[row]
             out.append((s1, s2, (0.0, 0.0, sign * arg, 0.0)))
-    final = work[dim - 2 :, dim - 2 :]
-    if np.linalg.norm(final - np.eye(2)) > _FINAL_IDENTITY_TOL:
-        corner = final.ravel().tolist()
-        s1, s2, sign = pairs[dim - 2]
-        if sign < 0:
-            corner.reverse()  # the X-conjugate's entries, row-major
-        exact_x = corner == [0, 1, 1, 0]
-        out.append((s1, s2, None if exact_x else _zyz_angles(*corner, sign < 0)))
+    # the trailing corner under the rows' rules: entries at or below the
+    # threshold are exact zeros, and the block is kept unless theta is 0
+    # (which makes mu 0) and phi and lam, angles[::2], are identity angles
+    final = work[-2:, -2:].ravel().tolist()
+    corner = [z if abs(z) > ZERO_THRESHOLD else _ZERO for z in final]
+    s1, s2, sign = pairs[dim - 2]
+    if sign < 0:
+        corner.reverse()  # the X-conjugate's entries, row-major
+    angles = None if corner == [0, 1, 1, 0] else _zyz_angles(*corner, sign < 0)
+    if angles is None or angles[1] or max(map(abs, angles[::2])) > IDENTITY_ANGLE_TOL:
+        out.append((s1, s2, angles))
     return out
 

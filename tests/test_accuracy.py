@@ -90,7 +90,8 @@ def test_structured_families_verify_at_round_off(family, n, seed):
 
 # The ZYZ tests call the unchecked core that factors the trailing corner.
 # ``two_level_angles`` cannot stand in for it: at theta = 1e-13 the 1-qubit
-# input Ry(2 theta) is within _FINAL_IDENTITY_TOL of I and yields no block.
+# input Ry(2 theta) has off-diagonal entries under ZERO_THRESHOLD, which
+# elimination reads as exact zeros, so it yields no block.
 
 
 def test_zyz_diagonal_angle_is_exactly_zero():

@@ -20,7 +20,6 @@ from unisynth import (
     verify,
     zyz_reconstruct,
 )
-from unisynth import circuit as circuit_module
 from unisynth.circuit import IDENTITY_ANGLE_TOL, ROTATION_KINDS
 from unisynth.twolevel import _zyz_angles
 
@@ -282,20 +281,6 @@ def test_x_conjugation_moves_the_pair():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_matrix_to_circuit_identity_is_empty(n):
     assert matrix_to_circuit(np.eye(1 << n)).gates == ()
-
-
-def test_block_with_an_empty_chain_emits_no_wrap(monkeypatch):
-    # an all-zero block (states 4, 5, wrapped in X on qubit 1) between two
-    # Ry blocks: it emits nothing, and the frame goes straight from the
-    # first block's wrap {1, 2} to the last one's {2}
-    blocks = [(0, 1, (0.0, 0.5, 0.0, 0.0)), (4, 5, (0.0,) * 4), (2, 3, (0.0, 0.5, 0.0, 0.0))]
-    monkeypatch.setattr(circuit_module, "two_level_angles", lambda matrix, tol: blocks)
-    x1, x2 = Gate(GateKind.X, 1), Gate(GateKind.X, 2)
-    ry = Gate(GateKind.FCRY, 0, (1, 2), 1.0)
-    assert matrix_to_circuit(np.eye(8), optimize=False).gates == (
-        x1, x2, ry, x2, x1, x2, ry, x2,
-    )
-    assert matrix_to_circuit(np.eye(8)).gates == (x1, x2, ry, x1, ry, x2)
 
 
 def test_matrix_to_circuit_pauli_x():

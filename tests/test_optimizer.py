@@ -183,7 +183,9 @@ def test_frame_equals_oracle_on_haar(n):
 )
 def test_frame_equals_oracle_on_haar_and_perturbed_inputs(n, seed, exponent):
     # a perturbation far inside the input tolerance (1e-8 per dimension)
-    # leaves some blocks with only identity links, which emit nothing
+    # leaves entries near ZERO_THRESHOLD and phases near the identity-angle
+    # tolerance, where elimination skips a block rather than emit one of
+    # identity links
     u = haar_random_unitary(n, seed)
     if exponent is not None:
         rng = np.random.default_rng(seed)

@@ -5,17 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unisynth import (
     UnitarityError,
+    census,
     gray_conjugate,
     gray_permutation,
     haar_random_unitary,
     matrix_to_circuit,
+    verify,
 )
+from unisynth import circuit as circuit_module
 from unisynth.twolevel import two_level_angles, zyz_reconstruct
 
 from conftest import CNOT, SWAP_2Q
+from peephole import cancel_x_pairs
 
 
 def test_gray_code_first_eight():
@@ -183,9 +189,75 @@ def test_decompose_skips_a_diagonal_entry_whose_modulus_alone_drifts():
 
 
 def test_decompose_keeps_a_phase_just_above_the_phase_tolerance():
-    # state 1 sits at Gray index 1: its row's phase moves onto state 3
+    # state 1 sits at Gray index 1: its row's phase moves onto state 3, and
+    # the trailing corner, states (2, 3), carries it as det's phase
     u = np.diag([1, cmath.exp(2e-12j), 1, 1]).astype(np.complex128)
-    assert two_level_angles(u) == [(1, 3, (0.0, 0.0, cmath.phase(u[1, 1]), 0.0))]
+    phase = cmath.phase(u[1, 1])
+    assert two_level_angles(u) == [
+        (1, 3, (0.0, 0.0, phase, 0.0)),
+        (2, 3, (phase, -0.0, 0.0, 0.0)),
+    ]
+
+
+def test_decompose_skips_a_trailing_corner_whose_modulus_alone_drifts():
+    # the corner is judged by the rows' rules: 1 + 1e-9 has phase 0, so the
+    # corner's angles are all identity and no block is emitted
+    u = np.diag([1, 1, 1, 1 + 1e-9]).astype(np.complex128)
+    assert two_level_angles(u) == []
+    assert matrix_to_circuit(u, optimize=False).gates == ()
+
+
+@pytest.mark.parametrize(
+    "diagonal, pair",
+    [
+        ([1, 1, cmath.exp(2e-12j), 1], (2, 3)),
+        ([1, 1, 1, cmath.exp(2e-12j)], (2, 3)),
+        ([1, 1, 1, cmath.exp(5e-11j)], (2, 3)),
+        ([1, cmath.exp(5e-11j)], (0, 1)),
+    ],
+    ids=["state2-2e-12", "state3-2e-12", "state3-5e-11", "n1-5e-11"],
+)
+def test_a_phase_in_the_trailing_corner_gets_its_r1(diagonal, pair):
+    # the phase sits in the last Gray pair, so only the corner can carry it;
+    # a phase above the identity-angle tolerance is kept there as in a row
+    u = np.diag(diagonal).astype(np.complex128)
+    blocks = two_level_angles(u)
+    assert [(s1, s2) for s1, s2, _ in blocks] == [pair]
+    circuit = matrix_to_circuit(u)
+    assert census(circuit).r1 == 1
+    assert verify(u, circuit).frobenius_error == 0.0
+
+
+def _drift(rng, size):
+    # per entry: no drift, or a signed drift log-uniform in 1e-13..1e-9
+    magnitude = 10.0 ** rng.uniform(-13.0, -9.0, size)
+    return rng.choice([0.0, -1.0, 1.0], size) * magnitude
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["near_identity_diagonal", "diagonal", "near_identity"]),
+)
+def test_every_block_of_a_drifted_input_emits_gates(n, seed, kind):
+    # diagonal and near-identity inputs whose phases and moduli drift by
+    # 1e-13..1e-9: each block elimination returns has a non-empty chain,
+    # the corner's R1 is the only one, and the X frame is the oracle's
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    phases = rng.uniform(-np.pi, np.pi, dim) if kind == "diagonal" else 0.0
+    u = np.diag((1.0 + _drift(rng, dim)) * np.exp(1j * (phases + _drift(rng, dim))))
+    if kind == "near_identity":
+        u = u + _drift(rng, (dim, dim)) + 1j * _drift(rng, (dim, dim))
+    wiring = circuit_module._wiring(n)
+    for s1, s2, angles in two_level_angles(u):
+        assert circuit_module._chain(wiring, (s1 ^ s2).bit_length() - 1, angles)
+    circuit = matrix_to_circuit(u)
+    assert census(circuit).r1 <= 1
+    assert verify(u, circuit).passed
+    raw = matrix_to_circuit(u, optimize=False)
+    assert circuit.gates == cancel_x_pairs(raw).gates
 
 
 def test_decompose_rejects_non_unitary():
