@@ -190,19 +190,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rows.append(baseline)
     header = ("n", "x", "ry", "rz", "r1", "fcx", "total", "ratio")
     widths = (3, 8, 8, 8, 4, 4, 9, 7)
-    print("".join(h.rjust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        cells = (row.n, row.x, row.ry, row.rz, row.r1, row.fcx, row.total)
-        line = "".join(str(c).rjust(w) for c, w in zip(cells, widths))
-        print(line + f"{row.ratio:.2f}".rjust(widths[-1]))
+    # each row's text cells, formatted once for both the table and the CSV
+    table = [header] + [
+        (*map(str, (r.n, r.x, r.ry, r.rz, r.r1, r.fcx, r.total)), f"{r.ratio:.2f}")
+        for r in rows
+    ]
+    for cells in table:
+        print("".join(c.rjust(w) for c, w in zip(cells, widths)))
     if args.output:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                f"{row.n},{row.x},{row.ry},{row.rz},{row.r1},{row.fcx},"
-                f"{row.total},{row.ratio:.2f}"
-            )
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "".join(",".join(cells) + "\n" for cells in table)
+        Path(args.output).write_text(text, encoding="utf-8")
     return 0
 
 
