@@ -182,7 +182,7 @@ def test_decompose_handles_sparse_diagonal_phases(n):
 
 def test_decompose_skips_a_diagonal_entry_whose_modulus_alone_drifts():
     # 1 - 1e-11 has phase 0: no phase block can remove modulus drift, so
-    # none is emitted, and no X gates wrap an empty chain either
+    # none is emitted, and the raw circuit holds no X wraps either
     u = np.diag([1, 1, 1 - 1e-11, 1, 1, 1, 1, 1]).astype(np.complex128)
     assert two_level_angles(u) == []
     assert matrix_to_circuit(u, optimize=False).gates == ()
