@@ -28,7 +28,6 @@ from .matrix import (
 )
 from .simulator import VerificationReport, circuit_matrix, verify
 from .twolevel import (
-    gray_conjugate,
     gray_permutation,
     two_level_angles,
     zyz_reconstruct,
@@ -51,7 +50,6 @@ __all__ = [
     "emit_json",
     "emit_qasm3",
     "emit_qsharp",
-    "gray_conjugate",
     "gray_permutation",
     "haar_random_unitary",
     "load_matrix",

@@ -27,21 +27,19 @@ rotations within ``IDENTITY_ANGLE_TOL`` of the identity, the tolerance by which
 elimination (``twolevel.py``) already skips whole identity blocks, so every
 block it is given emits a non-empty chain.
 
-Synthesis shares one X gate per qubit and one control tuple per target
-(``Gate`` is frozen) and builds rotation gates through ``trusted_gate``
-without re-running ``Gate``'s checks, whose invariants its fields hold by
-construction.
+Each call builds one X gate per qubit and one control tuple and exact-X gate
+per target, which its blocks share (``Gate`` is frozen), and builds every
+gate through ``trusted_gate`` without re-running ``Gate``'s checks, whose
+invariants its fields hold by construction.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -241,33 +239,15 @@ def census(circuit: Circuit) -> GateCensus:
     )
 
 
-class _Wiring(NamedTuple):
-    """What synthesis on ``n`` qubits needs of each qubit and target."""
-
-    x: tuple[Gate, ...]  # per qubit, its X gate
-    controls: tuple[tuple[int, ...], ...]  # per target, every other qubit
-    swaps: tuple[Gate, ...]  # per target, the gate of an exact X block
-
-
-@functools.lru_cache(maxsize=16)
-def _wiring(n: int) -> _Wiring:
-    controls = tuple(tuple(q for q in range(n) if q != r) for r in range(n))
-    swap = GateKind.FCX if n > 1 else GateKind.X
-    return _Wiring(
-        tuple(Gate(GateKind.X, q) for q in range(n)),
-        controls,
-        tuple(Gate(swap, r, controls[r]) for r in range(n)),
-    )
-
-
-def _chain(wiring: _Wiring, r: int, angles: tuple | None) -> list[Gate]:
-    # one block's chain on target r: Rz, Ry, Rz, R1 with identity-angle
-    # links left out, or for ``angles`` None (exactly X) one FCX, plain X
-    # at n = 1
+def _chain(
+    r: int, controls: tuple[int, ...], swap: Gate, angles: tuple | None
+) -> list[Gate]:
+    # one block's chain on target r under ``controls``: Rz, Ry, Rz, R1 with
+    # identity-angle links left out, or for ``angles`` None (exactly X) the
+    # ``swap`` gate, an FCX or plain X at n = 1
     if angles is None:
-        return [wiring.swaps[r]]
+        return [swap]
     phi, theta, lam, mu = angles
-    controls = wiring.controls[r]
     chain = []
     for kind, angle, period in (
         (GateKind.FCRZ, lam - mu, FOUR_PI),
@@ -281,7 +261,7 @@ def _chain(wiring: _Wiring, r: int, angles: tuple | None) -> list[Gate]:
     return chain
 
 
-def _move_frame(gates: list[Gate], x: tuple[Gate, ...], frame: int, new: int) -> int:
+def _move_frame(gates: list[Gate], x: list[Gate], frame: int, new: int) -> int:
     # X the qubits whose bit differs between the frames, those leaving high
     # to low, then those entering low to high, and return the new frame
     leaving = frame & ~new
@@ -314,14 +294,17 @@ def matrix_to_circuit(
     # two_level_angles validates the matrix; nothing downstream re-checks
     blocks = two_level_angles(matrix, tol)
     n = num_qubits(len(matrix))
-    wiring = _wiring(n)
-    x = wiring.x
+    x = [trusted_gate(GateKind.X, q, (), None) for q in range(n)]
+    controls = [tuple(q for q in range(n) if q != r) for r in range(n)]
+    swap_kind = GateKind.FCX if n > 1 else GateKind.X
+    swaps = [trusted_gate(swap_kind, r, controls[r], None) for r in range(n)]
     full = (1 << n) - 1
     gates: list[Gate] = []
     # bit q is set while qubit q is under an X
     frame = 0
     for s1, s2, angles in blocks:
-        chain = _chain(wiring, (s1 ^ s2).bit_length() - 1, angles)
+        r = (s1 ^ s2).bit_length() - 1
+        chain = _chain(r, controls[r], swaps[r], angles)
         # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves
         # at 0: X on each of them makes every control test for 1
         frame = _move_frame(gates, x, frame, full & ~s2)

@@ -87,20 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str, what: str, error: type[ValueError]) -> str:
-    """A UTF-8 file's text; text that is not UTF-8 raises ``error``."""
+def _read(path: str, what: str, parse, error: type[ValueError]):
+    """Parse a UTF-8 file's text with ``parse``; text that is not UTF-8
+    raises ``error``, and every format error names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read {what} file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: cannot decode text: {exc}") from None
-
-
-def _read_matrix(path: str):
-    text = _read_text(path, "matrix", MatrixFormatError)
     try:
-        return load_matrix(text)
+        return parse(text)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -115,7 +112,7 @@ def _write_output(text: str, path: str | None) -> None:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.backend == "qsharp":
         check_operation_name(args.name)
-    matrix = _read_matrix(args.input)
+    matrix = _read(args.input, "matrix", load_matrix, MatrixFormatError)
     circuit = matrix_to_circuit(matrix, optimize=not args.no_optimize, tol=args.tol)
     if args.backend == "qsharp":
         text = emit_qsharp(circuit, operation_name=args.name)
@@ -142,12 +139,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    matrix = validate_unitary(_read_matrix(args.input))
-    text = _read_text(args.circuit, "circuit", CircuitFormatError)
-    try:
-        circuit = parse_json(text)
-    except CircuitFormatError as exc:
-        raise CircuitFormatError(f"{args.circuit}: {exc}") from None
+    matrix = validate_unitary(
+        _read(args.input, "matrix", load_matrix, MatrixFormatError)
+    )
+    circuit = _read(args.circuit, "circuit", parse_json, CircuitFormatError)
     report = verify(matrix, circuit, tol=args.tol)
     status = "passed" if report.passed else "FAILED"
     print(
@@ -167,7 +162,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("seeds-per-n must be positive")
     rows: list[GateCensus] = []
     for n in range(args.n_min, args.n_max + 1):
-        baseline: GateCensus | None = None
         for offset in range(args.seeds_per_n):
             matrix = haar_random_unitary(n, args.seed + offset)
             circuit = matrix_to_circuit(matrix)
@@ -179,15 +173,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 1
-            stats = census(circuit)
-            if baseline is None:
-                baseline = stats
-            elif stats != baseline:
-                # generic inputs share one census; a mismatch is worth a note
-                print(
-                    f"note: census varies across seeds at n={n}", file=sys.stderr
-                )
-        rows.append(baseline)
+            if not offset:
+                rows.append(census(circuit))
     header = ("n", "x", "ry", "rz", "r1", "fcx", "total", "ratio")
     widths = (3, 8, 8, 8, 4, 4, 9, 7)
     # each row's text cells, formatted once for both the table and the CSV

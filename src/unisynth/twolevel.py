@@ -1,9 +1,10 @@
 """Reduction of a unitary into two-level matrices on one-bit state pairs.
 
 The input is reindexed on both axes by the binary-reflected Gray code
-(``gray_permutation``, applied by ``gray_conjugate``), then brought to the
-identity by right-multiplying 2x2 rotations onto adjacent column pairs, top
-row first and rightmost entry first.  In the Gray frame adjacent indices
+(``gray_permutation``), so entry ``(i, j)`` of the work matrix is entry
+``(pi_i, pi_j)`` of the input, then brought to the identity by
+right-multiplying 2x2 rotations onto adjacent column pairs, top row first
+and rightmost entry first.  In the Gray frame adjacent indices
 differ in one bit, so every emitted block acts on a pair of basis states one
 bit apart in the original indexing, which is what lets a block become a single
 fully-controlled gate downstream.
@@ -55,21 +56,6 @@ def gray_permutation(n: int) -> np.ndarray:
     """The binary-reflected Gray code: ``pi[i] = i ^ (i >> 1)`` for ``i < 2**n``."""
     codes = np.arange(1 << n)
     return codes ^ (codes >> 1)
-
-
-def gray_conjugate(matrix: np.ndarray) -> np.ndarray:
-    """Reindex both axes of a matrix by the Gray code.
-
-    Entry ``(i, j)`` of the result is entry ``(pi_i, pi_j)`` of the input.  A
-    matrix nontrivial only on rows/columns ``(pi_i, pi_j)`` maps to one
-    nontrivial on ``(i, j)``, so adjacent indices of the result hold states
-    one bit apart.
-    """
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    pi = gray_permutation(num_qubits(m.shape[0]))
-    return m[np.ix_(pi, pi)]
 
 
 def _rotation(a: complex, b: complex, abs_b: float) -> tuple:
@@ -138,7 +124,7 @@ def two_level_angles(
     work = validate_unitary(matrix, tol)
     dim = work.shape[0]
     pi = gray_permutation(num_qubits(dim)).tolist()
-    work = gray_conjugate(work)
+    work = work[np.ix_(pi, pi)]
     # Gray columns (lo, lo + 1) hold states (pi_lo, pi_lo+1): the pair in
     # order, and the sign that turns a Gray-frame block's angles into the
     # emitted block's (-1 where the X-conjugate swaps the states back)

@@ -265,7 +265,6 @@ PUBLIC_NAMES = [
     "emit_json",
     "emit_qasm3",
     "emit_qsharp",
-    "gray_conjugate",
     "gray_permutation",
     "haar_random_unitary",
     "load_matrix",
@@ -285,6 +284,7 @@ REMOVED_NAMES = [
     "gate_block",
     "gate_matrix",
     "gray_code",
+    "gray_conjugate",
     "is_unitary",
     "ket_string",
     "parse_ket",

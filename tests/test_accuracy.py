@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from unisynth import (
     GateKind,
     census,
+    gray_permutation,
     haar_random_unitary,
     matrix_to_circuit,
     verify,
 )
+from unisynth.matrix import default_unitarity_tol, unitarity_residual
 from unisynth.twolevel import _zyz_angles
 
 from masked_simulator import ry_matrix
@@ -127,3 +129,48 @@ def test_haar_n6_seed42_is_no_less_accurate():
     # angles about 2.9e-14.
     u = haar_random_unitary(6, 42)
     assert verify(u, matrix_to_circuit(u)).frobenius_error <= 1.43e-14
+
+
+def _perturbation(u: np.ndarray, shape: str, rng: np.random.Generator) -> np.ndarray:
+    # a direction E of Frobenius norm 1 to add to u
+    dim = len(u)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if shape == "hermitian":
+        e = u @ (g + g.conj().T)
+    elif shape == "anti_hermitian":
+        e = u @ (g - g.conj().T)
+    elif shape == "column_scale":
+        e = u * rng.standard_normal(dim)
+    elif shape == "gray_lower":
+        # strictly lower-triangular in the Gray frame, where elimination
+        # works: M = (I + K) U is already M = L Q, the shape that meets the
+        # bound
+        back = np.argsort(gray_permutation(dim.bit_length() - 1))
+        e = np.tril(g, -1)[np.ix_(back, back)] @ u
+    else:
+        e = g
+    return e / np.linalg.norm(e)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(
+        ["entries", "hermitian", "anti_hermitian", "column_scale", "gray_lower"]
+    ),
+    level=st.floats(-4.0, 0.0, exclude_max=True),
+)
+def test_perturbed_input_circuit_is_within_half_root_two_residual(n, seed, shape, level):
+    # Elimination factors M = L Q, L lower-triangular, and the circuit is
+    # Q; to first order ||M - Q||_F <= ||M†M - I||_F / sqrt(2), so a matrix
+    # the input check accepts compiles to a circuit that close to it
+    u = haar_random_unitary(n, seed % 1000)
+    rng = np.random.default_rng(seed)
+    tol = default_unitarity_tol(len(u))
+    # ||U†E + E†U||_F <= 2, so the residual is at most 0.98 tol to first order
+    m = u + 0.49 * tol * 10.0**level * _perturbation(u, shape, rng)
+    r = unitarity_residual(m)
+    assert r <= tol
+    error = verify(m, matrix_to_circuit(m), tol=1.0).frobenius_error
+    assert error <= r / math.sqrt(2) + 1e-12

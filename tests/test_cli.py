@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unisynth import (
+    VerificationReport,
     emit_json,
     haar_random_unitary,
     matrix_to_circuit,
@@ -264,6 +266,46 @@ def test_bench_rejects_bad_range(capsys):
     assert "n-max" in capsys.readouterr().err
     assert main(["bench", "--n-min", "0", "--n-max", "2"]) == 2
     assert main(["bench", "--seeds-per-n", "0"]) == 2
+
+
+def test_bench_verification_failure_names_n_and_seed(monkeypatch, capsys):
+    failing = VerificationReport(False, 0.5, 0.25, 0)
+    monkeypatch.setattr("unisynth.cli.verify", lambda matrix, circuit: failing)
+    assert main(["bench", "--n-min", "2", "--n-max", "2", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verification failed at n=2 seed=7: frobenius=5.000e-01\n"
+    )
+
+
+# finite entries whose M†M overflows to inf or NaN
+OVERFLOWING = {
+    "1e154-inf": np.diag([1e154, 1e154]),
+    "1e155": np.diag([1e155, 1e155]),
+    "1e200": np.diag([1e200, 1e200]),
+    "1e200-complex": np.array([[1e200 + 1e200j, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("matrix", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_overflowing_matrix_is_input_error(tmp_path, capsys, command, matrix):
+    rows = [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "matrix": rows}), encoding="utf-8")
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text('{"version": 1, "n": 1, "gates": []}', encoding="utf-8")
+    argv = {
+        "decompose": ["decompose", "-i", str(path)],
+        "verify": ["verify", "-i", str(path), "-c", str(circuit_path)],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix is not unitary: Frobenius residual ")
 
 
 def _nan_matrix_file(tmp_path):

@@ -288,6 +288,23 @@ def test_parse_json_rejects_bad_version():
         parse_json('{"version": 2, "n": 1, "gates": []}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "expected a JSON object at top level"),
+        ('{"version": 1, "n": "1", "gates": []}', '"n" must be an integer'),
+        ('{"version": 1, "n": 1, "gates": {}}', '"gates" must be an array'),
+        ('{"version": 1, "n": 1, "gates": [1]}', "gate 0: expected an object"),
+    ],
+    ids=["array", "string-n", "gates-object", "gate-number"],
+)
+def test_parse_json_rejects_a_wrong_document_structure(text, message):
+    with pytest.raises(CircuitFormatError) as excinfo:
+        parse_json(text)
+    assert type(excinfo.value) is CircuitFormatError
+    assert str(excinfo.value) == message
+
+
 def test_parse_json_rejects_malformed_text():
     with pytest.raises(CircuitFormatError, match="line"):
         parse_json("[1, 2")

@@ -1,6 +1,7 @@
 """Matrix utilities: validation, Haar sampling, file format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,57 @@ def test_validate_unitary_rejects_non_finite_entries(matrix):
     # a large tolerance does not let it through either
     with pytest.raises(UnitarityError):
         validate_unitary(matrix, tol=1e300)
+
+
+@pytest.mark.parametrize(
+    "matrix, residual",
+    [
+        (np.diag([1e154, 1e154]), "inf"),
+        (np.diag([1e155, 1e155]), "nan"),
+        (np.diag([1e200, 1e200]), "nan"),
+        (np.array([[1e200 + 1e200j, 0], [0, 1]]), "nan"),
+    ],
+    ids=["1e154-inf", "1e155", "1e200", "1e200-complex"],
+)
+def test_validate_unitary_rejects_a_residual_that_overflows(matrix, residual):
+    # finite entries whose M†M overflows: a NaN residual compares False in
+    # "residual > tol" too, so it must fail "residual <= tol", and numpy's
+    # overflow warnings stay inside
+    message = f"matrix is not unitary: Frobenius residual {residual} exceeds 2.000e-08"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnitarityError) as excinfo:
+            validate_unitary(matrix)
+        assert str(excinfo.value) == message
+        with pytest.raises(UnitarityError):
+            validate_unitary(matrix, tol=1e300)
+        with pytest.raises(UnitarityError):
+            save_matrix(matrix)
+
+
+def test_validate_unitary_rejects_a_non_square_matrix():
+    with pytest.raises(DimensionError) as excinfo:
+        validate_unitary(np.ones((2, 4)))
+    assert str(excinfo.value) == "expected a square matrix, got shape (2, 4)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", 'expected an object with "n" and "matrix" keys'),
+        (
+            '{"n": true, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+            '"n" must be an integer',
+        ),
+        ('{"n": 1, "matrix": [1, 2]}', '"matrix" must be an array of rows'),
+    ],
+    ids=["array", "boolean-n", "rows-not-arrays"],
+)
+def test_load_rejects_a_wrong_document_structure(text, message):
+    with pytest.raises(MatrixFormatError) as excinfo:
+        load_matrix(text)
+    assert type(excinfo.value) is MatrixFormatError
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unisynth import (
+    Gate,
+    GateKind,
     UnitarityError,
     census,
-    gray_conjugate,
     gray_permutation,
     haar_random_unitary,
     matrix_to_circuit,
@@ -38,32 +39,6 @@ def test_gray_code_adjacent_indices_differ_in_one_bit():
 def test_gray_permutation_is_a_bijection(n):
     perm = gray_permutation(n)
     assert sorted(perm.tolist()) == list(range(1 << n))
-
-
-def test_gray_conjugate_forward_matches_index_map():
-    # forward result (i, j) must read the input at (pi_i, pi_j)
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    out = gray_conjugate(a)
-    pi = gray_permutation(3)
-    for i in range(8):
-        for j in range(8):
-            assert out[i, j] == a[pi[i], pi[j]]
-
-
-def test_gray_conjugate_identity_fixed():
-    assert np.array_equal(gray_conjugate(np.eye(8)), np.eye(8))
-
-
-def test_gray_conjugate_inverse_moves_adjacent_pair_to_one_bit_pair():
-    # a block on states (pi_1, pi_2) = (1, 3), one bit apart, lands on the
-    # adjacent indices (1, 2)
-    block = np.array([[0.6, 0.8j], [0.8j, 0.6]], dtype=complex)
-    m = np.eye(4, dtype=complex)
-    m[np.ix_([1, 3], [1, 3])] = block
-    expected = np.eye(4, dtype=complex)
-    expected[1:3, 1:3] = block
-    assert np.array_equal(gray_conjugate(m), expected)
 
 
 def _pair_unitary(a: complex, b: complex) -> np.ndarray:
@@ -250,9 +225,11 @@ def test_every_block_of_a_drifted_input_emits_gates(n, seed, kind):
     u = np.diag((1.0 + _drift(rng, dim)) * np.exp(1j * (phases + _drift(rng, dim))))
     if kind == "near_identity":
         u = u + _drift(rng, (dim, dim)) + 1j * _drift(rng, (dim, dim))
-    wiring = circuit_module._wiring(n)
     for s1, s2, angles in two_level_angles(u):
-        assert circuit_module._chain(wiring, (s1 ^ s2).bit_length() - 1, angles)
+        r = (s1 ^ s2).bit_length() - 1
+        controls = tuple(q for q in range(n) if q != r)
+        swap = Gate(GateKind.FCX if n > 1 else GateKind.X, r, controls)
+        assert circuit_module._chain(r, controls, swap, angles)
     circuit = matrix_to_circuit(u)
     assert census(circuit).r1 <= 1
     assert verify(u, circuit).passed
