@@ -70,36 +70,18 @@ def normalize_angle(angle: float, period: float) -> float:
 
 
 def _qubit(index: object) -> int:
-    # an exact integer index: Python and numpy ints pass; bool, an int
-    # subclass, and any float raise
+    # an exact nonnegative integer index: Python and numpy ints pass; bool,
+    # an int subclass, and any float raise
     if not isinstance(index, bool):
         try:
-            return operator.index(index)
+            index = operator.index(index)
         except TypeError:
             pass
+        else:
+            if index < 0:
+                raise ValueError(f"qubit index must be nonnegative, got {index}")
+            return index
     raise ValueError(f"qubit index must be an integer, got {index!r}")
-
-
-def check_wiring(
-    kind: GateKind, target: int, controls: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Check a gate's wiring and return its controls as sorted ints.
-
-    ``Gate`` runs this for every gate it builds; ``parse_json`` runs it once
-    per distinct wiring of a document.
-    """
-    if target < 0:
-        raise ValueError(f"target must be nonnegative, got {target}")
-    controls = tuple(sorted(_qubit(q) for q in controls))
-    if len(set(controls)) != len(controls):
-        raise ValueError(f"duplicate control qubits: {controls}")
-    if target in controls:
-        raise ValueError(f"target {target} appears in controls")
-    if any(q < 0 for q in controls):
-        raise ValueError(f"control qubits must be nonnegative: {controls}")
-    if kind is GateKind.X and controls:
-        raise ValueError("kind 'x' takes no controls; use 'fcx'")
-    return controls
 
 
 def check_angle(kind: GateKind, angle: float | None) -> float | None:
@@ -140,9 +122,18 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        kind = GateKind(self.kind)
+        try:
+            kind = GateKind(self.kind)
+        except ValueError:
+            raise ValueError(f"unknown kind {self.kind!r}") from None
         target = _qubit(self.target)
-        controls = check_wiring(kind, target, self.controls)
+        controls = tuple(sorted(_qubit(q) for q in self.controls))
+        if len(set(controls)) != len(controls):
+            raise ValueError(f"duplicate control qubits: {controls}")
+        if target in controls:
+            raise ValueError(f"target {target} appears in controls")
+        if kind is GateKind.X and controls:
+            raise ValueError("kind 'x' takes no controls; use 'fcx'")
         angle = check_angle(kind, self.angle)
         _set_kind(self, kind)
         _set_target(self, target)
@@ -163,10 +154,10 @@ def trusted_gate(
 ) -> Gate:
     """A ``Gate`` from fields already checked and normalized, unchecked.
 
-    The caller guarantees what ``check_wiring`` and ``check_angle`` return:
-    a non-negative int target, sorted distinct non-negative int controls
-    without the target, and a normalized finite float angle for rotation
-    kinds (``None`` otherwise).
+    The caller guarantees what ``Gate`` and ``check_angle`` would make of
+    them: a non-negative int target, sorted distinct non-negative int
+    controls without the target, and a normalized finite float angle for
+    rotation kinds (``None`` otherwise).
     """
     gate = _new(Gate)
     _set_kind(gate, kind)
@@ -184,7 +175,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        # exactly an int, as parse_json requires of "n": not bool, not float
+        # exactly an int, not bool, not float: parse_json checks "n" only here
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"qubit count must be a positive integer, got {self.n!r}")
         gates = tuple(self.gates)

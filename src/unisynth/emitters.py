@@ -10,8 +10,9 @@ Every backend relies on one invariant: a statement's text depends only on
 the gate's wiring (kind, target, controls) and its angle, with the angle's
 text appearing once.  So each emitter renders the text around the angle
 once per distinct wiring and, per gate, formats only the angle between
-those two fragments.  ``parse_json`` likewise checks each distinct wiring
-of a document once, and every gate's angle and element types.
+those two fragments.  ``parse_json`` likewise builds the first gate of each
+distinct wiring of a document through ``Gate``, which checks every field,
+and checks only the angle of each later gate of that wiring.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ import json
 import re
 from typing import Callable, Iterable
 
-from .circuit import (
-    ROTATION_KINDS,
-    Circuit,
-    Gate,
-    GateKind,
-    check_angle,
-    check_wiring,
-    trusted_gate,
-)
+from .circuit import Circuit, Gate, GateKind, check_angle, trusted_gate
 from .matrix import decode_json
 
 JSON_IR_VERSION = 1
@@ -210,64 +203,48 @@ def parse_json(text: str | bytes) -> Circuit:
         raise CircuitFormatError(
             f"unsupported version {version!r}, expected {JSON_IR_VERSION}"
         )
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise CircuitFormatError('"n" must be an integer')
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise CircuitFormatError('"gates" must be an array')
     wirings: dict = {}
     gates = [_parse_gate(entry, i, wirings) for i, entry in enumerate(raw_gates)]
     try:
-        return Circuit(n, tuple(gates))
+        return Circuit(doc.get("n"), tuple(gates))
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from None
 
 
 def _parse_gate(entry: object, index: int, wirings: dict) -> Gate:
-    """One gate; ``wirings`` maps each valid wiring seen so far to its fields.
+    """One gate; ``wirings`` maps each valid wiring seen so far to its gate.
 
-    JSON's ``true`` equals ``1`` and hashes like it, so a wiring's lookup
-    key is formed only when its target and every control is exactly an
-    ``int`` and its kind a ``str``.  A hit is then the identical wiring,
-    already checked; a miss runs every check and stores the wiring.
+    The first gate of each wiring is built, and so checked, by ``Gate``; a
+    later gate of that wiring reuses the first one's checked fields, and
+    only its angle is checked.  JSON's ``true`` equals ``1`` and hashes like
+    it, so a wiring's lookup key is formed only when its kind is exactly a
+    ``str`` and its target and every control exactly an ``int``.
     """
     if not isinstance(entry, dict):
         raise CircuitFormatError(f"gate {index}: expected an object")
-    kind_value = entry.get("kind")
+    kind = entry.get("kind")
     target = entry.get("target")
     controls = entry.get("controls", [])
-    exact = (
-        type(target) is int
-        and type(controls) is list
-        and all(type(q) is int for q in controls)
-    )
-    key = None
-    if exact and type(kind_value) is str:
-        key = (kind_value, target, *controls)
-    wiring = wirings.get(key)
-    if wiring is None:
-        # any of these fails whenever key is None, so None is never stored
-        try:
-            kind = GateKind(kind_value)
-        except ValueError:
-            raise CircuitFormatError(
-                f"gate {index}: unknown kind {kind_value!r}"
-            ) from None
-        if type(target) is not int:
-            raise CircuitFormatError(f"gate {index}: target must be an integer")
-        if not exact:
-            raise CircuitFormatError(f"gate {index}: controls must be integers")
-    else:
-        kind = wiring[0]
     angle = entry.get("angle")
-    if angle is not None and type(angle) not in (int, float):
-        raise CircuitFormatError(f"gate {index}: angle must be a number")
-    if kind in ROTATION_KINDS and angle is None:
-        raise CircuitFormatError(f"gate {index}: kind {kind.value!r} needs an angle")
+    # Gate would iterate a string's characters or a dict's keys
+    if type(controls) is not list:
+        raise CircuitFormatError(f"gate {index}: controls must be an array")
+    key = None
+    if type(kind) is str and type(target) is int:
+        if all(type(q) is int for q in controls):
+            key = (kind, target, *controls)
+    seen = wirings.get(key)
     try:
-        if wiring is None:
-            wiring = wirings[key] = (kind, target, check_wiring(kind, target, controls))
-        return trusted_gate(*wiring, check_angle(kind, angle))
+        if seen is None:
+            # Gate rejects every entry whose key is None, so None is never
+            # stored
+            gate = wirings[key] = Gate(kind, target, controls, angle)
+            return gate
+        return trusted_gate(
+            seen.kind, seen.target, seen.controls, check_angle(seen.kind, angle)
+        )
     except ValueError as exc:
         raise CircuitFormatError(f"gate {index}: {exc}") from None

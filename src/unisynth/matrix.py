@@ -99,9 +99,11 @@ def validate_unitary(matrix: np.ndarray, tol: float | None = None) -> np.ndarray
     if tol is None:
         tol = default_unitarity_tol(m.shape[0])
     if not residual <= tol:
-        raise UnitarityError(
-            f"matrix is not unitary: Frobenius residual {residual:.3e} exceeds {tol:.3e}"
-        )
+        if math.isfinite(residual):
+            detail = f"{residual:.3e} exceeds {tol:.3e}"
+        else:
+            detail = f"overflows ({residual})"
+        raise UnitarityError(f"matrix is not unitary: Frobenius residual {detail}")
     return m
 
 
@@ -109,8 +111,11 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     """Draw a Haar-distributed unitary on ``n`` qubits, deterministic in ``seed``.
 
     Samples a complex Ginibre matrix with a Philox counter-based generator
-    (portable across platforms for a given seed), takes its QR factorization,
-    and multiplies the columns of Q by the conjugated phases of R's diagonal.
+    (the same draw on every platform for a given seed), takes its QR
+    factorization, and multiplies the columns of Q by the conjugated phases
+    of R's diagonal.  The QR runs threaded LAPACK, so from n = 7 on a seed's
+    matrix, and with it a compile's Frobenius error, can depend on the BLAS
+    thread count; its gate census does not.
     """
     if not 1 <= n <= QUBIT_LIMIT:
         raise ValueError(f"qubit count must be in 1..{QUBIT_LIMIT}, got {n}")

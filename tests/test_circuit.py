@@ -110,6 +110,14 @@ def test_gate_rejects_bool_qubit_indices():
         Gate(GateKind.FCRY, 1, (False,), 1.0)
 
 
+def test_gate_names_an_unknown_kind_and_a_negative_index():
+    # parse_json reports these messages as they are, after "gate <i>: "
+    with pytest.raises(ValueError, match="^unknown kind 'h'$"):
+        Gate("h", 0)
+    with pytest.raises(ValueError, match="^qubit index must be nonnegative, got -2$"):
+        Gate(GateKind.FCX, 0, (1, -2))
+
+
 @pytest.mark.parametrize(
     "n", [2.5, 2.0, True, np.int64(2)], ids=["2.5", "2.0", "True", "int64"]
 )

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unisynth import (
     Circuit,
@@ -292,7 +294,8 @@ def test_parse_json_rejects_bad_version():
     "text, message",
     [
         ("[]", "expected a JSON object at top level"),
-        ('{"version": 1, "n": "1", "gates": []}', '"n" must be an integer'),
+        ('{"version": 1, "n": "1", "gates": []}',
+         "qubit count must be a positive integer, got '1'"),
         ('{"version": 1, "n": 1, "gates": {}}', '"gates" must be an array'),
         ('{"version": 1, "n": 1, "gates": [1]}', "gate 0: expected an object"),
     ],
@@ -347,7 +350,7 @@ def test_parse_json_rejects_boolean_angle(token):
         '{"version": 1, "n": 1, "gates": [{"kind": "fcry", "target": 0, '
         f'"controls": [], "angle": {token}}}]}}'
     )
-    with pytest.raises(CircuitFormatError, match="angle must be a number"):
+    with pytest.raises(CircuitFormatError, match="angle must be a real number"):
         parse_json(text)
 
 
@@ -362,21 +365,21 @@ _VALID_FIRST = '{"kind": "fcry", "target": 0, "controls": [1], "angle": 0.5}'
     "second, message",
     [
         ('{"kind": "fcry", "target": 0, "controls": [true], "angle": 0.5}',
-         "gate 1: controls must be integers"),
+         "gate 1: qubit index must be an integer, got True"),
         ('{"kind": "fcry", "target": 0, "controls": [1.0], "angle": 0.5}',
-         "gate 1: controls must be integers"),
+         "gate 1: qubit index must be an integer, got 1.0"),
         ('{"kind": "fcry", "target": 0, "controls": [1, 1], "angle": 0.5}',
          "gate 1: duplicate control qubits: (1, 1)"),
         ('{"kind": "fcry", "target": 0, "controls": [-1], "angle": 0.5}',
-         "gate 1: control qubits must be nonnegative: (-1,)"),
+         "gate 1: qubit index must be nonnegative, got -1"),
         ('{"kind": "fcry", "target": 1, "controls": [1], "angle": 0.5}',
          "gate 1: target 1 appears in controls"),
         ('{"kind": "x", "target": 0, "controls": [1]}',
          "gate 1: kind 'x' takes no controls; use 'fcx'"),
         ('{"kind": "fcry", "target": 0, "controls": [1], "angle": true}',
-         "gate 1: angle must be a number"),
+         "gate 1: angle must be a real number, got True"),
         ('{"kind": "fcry", "target": 0, "controls": [1]}',
-         "gate 1: kind 'fcry' needs an angle"),
+         "gate 1: kind 'fcry' requires an angle"),
         ('{"kind": "fcry", "target": 0, "controls": [1], "angle": NaN}',
          "gate 1: angle must be finite, got nan"),
     ],
@@ -391,7 +394,7 @@ def test_parse_json_rejects_boolean_target_after_integer_target():
     first = '{"kind": "fcx", "target": 1, "controls": [0]}'
     second = '{"kind": "fcx", "target": true, "controls": [0]}'
     text = f'{{"version": 1, "n": 2, "gates": [{first}, {second}]}}'
-    with pytest.raises(CircuitFormatError, match="^gate 1: target must be an integer$"):
+    with pytest.raises(CircuitFormatError, match="^gate 1: qubit index must be an integer, got True$"):
         parse_json(text)
 
 
@@ -399,7 +402,7 @@ def test_parse_json_shares_nothing_between_documents():
     valid = f'{{"version": 1, "n": 2, "gates": [{_VALID_FIRST}]}}'
     parse_json(valid)
     bad = valid.replace('"controls": [1]', '"controls": [true]')
-    with pytest.raises(CircuitFormatError, match="controls must be integers"):
+    with pytest.raises(CircuitFormatError, match="qubit index must be an integer"):
         parse_json(bad)
 
 
@@ -407,6 +410,58 @@ def test_parse_json_sorts_controls_of_a_repeated_wiring():
     gate = '{"kind": "fcx", "target": 0, "controls": [2, 1]}'
     c = parse_json(f'{{"version": 1, "n": 3, "gates": [{gate}, {gate}]}}')
     assert [g.controls for g in c.gates] == [(1, 2), (1, 2)]
+
+
+def _equal_to(q):
+    # the JSON values that compare equal to the integer q
+    return st.sampled_from([q, float(q), *([bool(q)] if q in (0, 1) else [])])
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2)
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=2),
+    st.dictionaries(st.text(max_size=1), _JSON_SCALARS, max_size=1),
+)
+
+
+@st.composite
+def _twin_entries(draw):
+    # a valid gate on 3 qubits, and an entry whose wiring fields compare
+    # equal to the gate's, each an int, a float or a bool, with any angle
+    kind = draw(st.sampled_from([k.value for k in GateKind]))
+    target = draw(st.integers(0, 2))
+    others = [q for q in range(3) if q != target]
+    controls = [] if kind == "x" else draw(st.lists(st.sampled_from(others), unique=True))
+    valid = {"kind": kind, "target": target, "controls": controls}
+    if kind != "x" and kind != "fcx":
+        valid["angle"] = 0.5
+    entry = {"kind": kind, "target": draw(_equal_to(target))}
+    if controls or draw(st.booleans()):
+        entry["controls"] = [draw(_equal_to(q)) for q in controls]
+    if draw(st.booleans()):
+        entry["angle"] = draw(_JSON_VALUES)
+    return valid, entry
+
+
+def _last_gate(gates):
+    text = json.dumps({"version": 1, "n": 3, "gates": gates})
+    try:
+        return parse_json(text).gates[-1]
+    except CircuitFormatError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_twin_entries())
+def test_parse_json_judges_an_entry_alike_alone_and_after_an_equal_wiring(twin):
+    # a later gate of a seen wiring skips the wiring checks, so it must be
+    # accepted or rejected, and built, exactly as the same entry alone
+    valid, entry = twin
+    assert _last_gate([valid]) is not None
+    assert _last_gate([valid, entry]) == _last_gate([entry])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
