@@ -127,6 +127,9 @@ class Gate:
         except ValueError:
             raise ValueError(f"unknown kind {self.kind!r}") from None
         target = _qubit(self.target)
+        # a string's characters or a dict's keys would pass as qubits
+        if not isinstance(self.controls, (tuple, list)):
+            raise ValueError(f"controls must be a tuple or list, got {self.controls!r}")
         controls = tuple(sorted(_qubit(q) for q in self.controls))
         if len(set(controls)) != len(controls):
             raise ValueError(f"duplicate control qubits: {controls}")

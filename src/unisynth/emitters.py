@@ -221,7 +221,7 @@ def _parse_gate(entry: object, index: int, wirings: dict) -> Gate:
     later gate of that wiring reuses the first one's checked fields, and
     only its angle is checked.  JSON's ``true`` equals ``1`` and hashes like
     it, so a wiring's lookup key is formed only when its kind is exactly a
-    ``str`` and its target and every control exactly an ``int``.
+    ``str``, its target an ``int`` and its controls a ``list`` of ``int``.
     """
     if not isinstance(entry, dict):
         raise CircuitFormatError(f"gate {index}: expected an object")
@@ -229,11 +229,8 @@ def _parse_gate(entry: object, index: int, wirings: dict) -> Gate:
     target = entry.get("target")
     controls = entry.get("controls", [])
     angle = entry.get("angle")
-    # Gate would iterate a string's characters or a dict's keys
-    if type(controls) is not list:
-        raise CircuitFormatError(f"gate {index}: controls must be an array")
     key = None
-    if type(kind) is str and type(target) is int:
+    if type(kind) is str and type(target) is int and type(controls) is list:
         if all(type(q) is int for q in controls):
             key = (kind, target, *controls)
     seen = wirings.get(key)

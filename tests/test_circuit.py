@@ -76,6 +76,8 @@ def test_gate_normalizes_angle_at_construction():
 def test_gate_sorts_controls():
     g = Gate(GateKind.FCRY, 0, (3, 1, 2), 1.0)
     assert g.controls == (1, 2, 3)
+    # a list, as parsed JSON holds, is read as its tuple
+    assert Gate(GateKind.FCRY, 0, [3, 1, 2], 1.0) == g
 
 
 def test_gate_invariants():
@@ -116,6 +118,18 @@ def test_gate_names_an_unknown_kind_and_a_negative_index():
         Gate("h", 0)
     with pytest.raises(ValueError, match="^qubit index must be nonnegative, got -2$"):
         Gate(GateKind.FCX, 0, (1, -2))
+
+
+@pytest.mark.parametrize(
+    "controls",
+    ["", {}, None, 5, "ab", range(1, 3)],
+    ids=["empty-string", "empty-dict", "None", "int", "string", "range"],
+)
+def test_gate_rejects_controls_that_are_not_a_tuple_or_list(controls):
+    # iterating them would read "" and {} as no controls, a string's
+    # characters or a dict's keys as qubits and range(1, 3) as (1, 2)
+    with pytest.raises(ValueError, match="^controls must be a tuple or list, got "):
+        Gate(GateKind.FCRY, 0, controls, 1.0)
 
 
 @pytest.mark.parametrize(

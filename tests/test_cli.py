@@ -55,14 +55,24 @@ def test_census_counts_by_kind():
     assert stats.ratio == pytest.approx(3 / 16)
 
 
-def test_decompose_writes_qsharp(matrix_file, tmp_path, capsys):
-    path = matrix_file(haar_random_unitary(2, 42))
+@pytest.mark.parametrize(
+    "matrix, counts",
+    [
+        (haar_random_unitary(2, 42), "x=2 ry=6 rz=12 r1=1 fcx=0 total=21"),
+        # diag(1, e^{5e-11 i}): the phase lands in the trailing corner, which
+        # must emit it as an R1 (exact phase), not drop it
+        (np.diag([1.0, np.exp(5e-11j)]), "x=0 ry=0 rz=0 r1=1 fcx=0 total=1"),
+    ],
+    ids=["haar", "corner-phase"],
+)
+def test_decompose_writes_qsharp(matrix_file, tmp_path, capsys, matrix, counts):
+    path = matrix_file(matrix)
     out = tmp_path / "c.qs"
     assert main(["decompose", "-i", path, "-o", str(out)]) == 0
     text = out.read_text()
     assert "operation ApplyUnitary" in text
     err = capsys.readouterr().err
-    assert "x=2 ry=6 rz=12 r1=1 fcx=0 total=21" in err
+    assert counts in err
     assert "verification passed" in err
 
 
@@ -159,13 +169,23 @@ def test_verify_tol_flag_sets_pass_threshold(matrix_file, tmp_path, capsys):
     assert main(["verify", "-i", path, "-c", str(out), "--tol", "0.1"]) == 0
 
 
-def test_verify_round_trip(matrix_file, tmp_path, capsys):
-    a = haar_random_unitary(2, 5)
-    path = matrix_file(a)
+@pytest.mark.parametrize(
+    "text",
+    [
+        save_matrix(haar_random_unitary(2, 5)),
+        # integer entries, which only the json.loads path reads; the layout
+        # save_matrix writes takes the bulk path
+        '{"n": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}',
+    ],
+    ids=["save_matrix-layout", "integer-entries"],
+)
+def test_verify_round_trip(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
     out = tmp_path / "c.json"
-    main(["decompose", "-i", path, "-o", str(out), "--backend", "json"])
+    assert main(["decompose", "-i", str(path), "-o", str(out), "--backend", "json"]) == 0
     capsys.readouterr()
-    assert main(["verify", "-i", path, "-c", str(out)]) == 0
+    assert main(["verify", "-i", str(path), "-c", str(out)]) == 0
     assert "verification passed" in capsys.readouterr().out
 
 
@@ -204,12 +224,26 @@ def test_verify_huge_qubit_count_is_input_error(matrix_file, tmp_path, capsys):
     assert "does not match a 1000000000000-qubit circuit" in capsys.readouterr().err
 
 
-def test_verify_malformed_circuit_is_input_error(matrix_file, tmp_path, capsys):
-    path = matrix_file(np.eye(2))
+@pytest.mark.parametrize(
+    "circuit, message",
+    [
+        ('{"version": 9, "n": 1, "gates": []}', "version"),
+        # gate 1 repeats gate 0's wiring with JSON true (== 1) as a control:
+        # it must be checked as itself, not taken for the valid wiring
+        ('{"version": 1, "n": 2, "gates": [{"kind": "fcx", "target": 0, "controls": [1]}, '
+         '{"kind": "fcx", "target": 0, "controls": [true]}]}',
+         "gate 1: qubit index must be an integer, got True"),
+    ],
+    ids=["version", "repeated-wiring-true-control"],
+)
+def test_verify_malformed_circuit_is_input_error(
+    matrix_file, tmp_path, capsys, circuit, message
+):
+    path = matrix_file(np.eye(1 << json.loads(circuit)["n"]))
     circuit_path = tmp_path / "c.json"
-    circuit_path.write_text('{"version": 9, "n": 1, "gates": []}', encoding="utf-8")
+    circuit_path.write_text(circuit, encoding="utf-8")
     assert main(["verify", "-i", path, "-c", str(circuit_path)]) == 2
-    assert "version" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("version", ["true", "1.0"])

@@ -298,8 +298,15 @@ def test_parse_json_rejects_bad_version():
          "qubit count must be a positive integer, got '1'"),
         ('{"version": 1, "n": 1, "gates": {}}', '"gates" must be an array'),
         ('{"version": 1, "n": 1, "gates": [1]}', "gate 0: expected an object"),
+        ('{"version": 1, "n": 1, "gates": [{"kind": "x", "target": 0, "controls": ""}]}',
+         "gate 0: controls must be a tuple or list, got ''"),
+        ('{"version": 1, "n": 1, "gates": [{"kind": "x", "target": 0, "controls": {}}]}',
+         "gate 0: controls must be a tuple or list, got {}"),
+        ('{"version": 1, "n": 1, "gates": [{"kind": "x", "target": 0, "controls": null}]}',
+         "gate 0: controls must be a tuple or list, got None"),
     ],
-    ids=["array", "string-n", "gates-object", "gate-number"],
+    ids=["array", "string-n", "gates-object", "gate-number", "string-controls",
+         "object-controls", "null-controls"],
 )
 def test_parse_json_rejects_a_wrong_document_structure(text, message):
     with pytest.raises(CircuitFormatError) as excinfo:
