@@ -12,9 +12,11 @@ Contains:
 - ``check_tolerance``: the one rule for a caller-supplied tolerance.
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format.  Text in
-  the exact layout ``save_matrix`` writes is parsed in bulk by one numpy call;
-  any other JSON layout goes through ``decode_json``, which ``parse_json``
-  shares, and yields the same bits.
+  the exact layout ``save_matrix`` writes is parsed in bulk, in chunks of
+  whole rows: a chunk with no zero entry by a regex per row and one
+  ``np.fromstring`` call, any other by a byte-level scan that converts only
+  the tokens that are not ``0.0``.  Any other JSON layout goes through
+  ``decode_json``, which ``parse_json`` shares, and yields the same bits.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    return float(np.linalg.norm(m.conj().T @ m - eye))
+    gram = m.conj().T @ m
+    gram.flat[:: m.shape[0] + 1] -= 1
+    return float(np.linalg.norm(gram))
 
 
 def validate_unitary(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -162,8 +165,15 @@ def decode_json(text: str | bytes, error: type[ValueError]) -> object:
 _FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _SAVED_HEAD = re.compile(r'\{"n": ([1-9]), "matrix": \[\[\[')
 _SAVED_TAIL = "]]]}"
-# one row without its outer brackets: "re, im], [re, im], ..., [re, im"
-_SAVED_ROW = re.compile(rf"{_FLOAT}, {_FLOAT}(?:\], \[{_FLOAT}, {_FLOAT})*")
+_ROW_BREAK = "]], [["
+# the tokens of a chunk that are not 0.0, joined by commas
+_NUMBERS = re.compile(rf"{_FLOAT}(?:,{_FLOAT})*".encode())
+# bytes.translate table: 1 at the layout's punctuation ", []", 0 elsewhere
+_PUNCTUATION = bytes(c in b", []" for c in range(256))
+_NUMBER_BYTES = b"+-.0123456789Ee"
+# text is parsed in chunks of whole rows, each this many characters or one
+# row more, which bounds the temporaries and the regex's backtracking stack
+_CHUNK = 1 << 16
 
 
 def load_matrix(text: str | bytes) -> np.ndarray:
@@ -183,10 +193,12 @@ def load_matrix(text: str | bytes) -> np.ndarray:
 def _load_saved(text: str | bytes) -> np.ndarray | None:
     """Parse text in ``save_matrix``'s exact layout in bulk; None for any other.
 
-    Each of the ``2**n`` rows must match ``_SAVED_ROW`` with ``2**n`` pairs.
-    The numbers are then converted by one ``np.fromstring`` call, which reads
-    a float through the same CPython routine as ``float()``, so the result
-    has the bits ``_load_json`` returns, signed zeros included.
+    The rows are read in chunks of whole rows.  A chunk with a zero entry
+    goes to ``_parse_sparse``, any other to ``_parse_dense``; both accept
+    the same text and give the same bits.  Numbers are converted by
+    ``np.fromstring``, which reads a float through the same CPython routine
+    as ``float()``, so the result has the bits ``_load_json`` returns,
+    signed zeros included.
     """
     if not isinstance(text, str) or not text.endswith(_SAVED_TAIL):
         return None
@@ -194,15 +206,100 @@ def _load_saved(text: str | bytes) -> np.ndarray | None:
     if head is None:
         return None
     dim = 1 << int(head[1])
-    rows = text[head.end() : -len(_SAVED_TAIL)].split("]], [[")
-    if len(rows) != dim:
-        return None
-    for row in rows:
-        if row.count("[") != dim - 1 or _SAVED_ROW.fullmatch(row) is None:
+    pairs = np.zeros(2 * dim * dim)
+    start, stop = head.end(), len(text) - len(_SAVED_TAIL)
+    done = 0
+    while True:
+        cut = text.find(_ROW_BREAK, start + _CHUNK)
+        if cut < 0:
+            cut = stop
+        # in this layout a zero entry is written "0.0, 0.0]"
+        sparse = text.find("0.0, 0.0]", start, cut + 1) >= 0
+        parse = _parse_sparse if sparse else _parse_dense
+        count = parse(text, start, cut, dim, pairs[done:])
+        if count is None:
             return None
-    numbers = ", ".join(rows).replace("], [", ", ")
-    pairs = np.fromstring(numbers, dtype=np.float64, sep=",")
+        done += count
+        if cut == stop:
+            break
+        start = cut + len(_ROW_BREAK)
+    if done != pairs.size:
+        return None
     return pairs.view(np.complex128).reshape(dim, dim)
+
+
+def _parse_dense(
+    text: str, start: int, stop: int, dim: int, out: np.ndarray
+) -> int | None:
+    """Read the rows in ``text[start:stop]`` into ``out``; the number of reals.
+
+    Each row must be ``dim`` pairs, "re, im], [re, im], ..., [re, im"; then
+    one ``np.fromstring`` call converts the numbers.  None if a row is not.
+    """
+    row = re.compile(rf"{_FLOAT}, {_FLOAT}(?:\], \[{_FLOAT}, {_FLOAT}){{{dim - 1}}}")
+    rows = text[start:stop].split(_ROW_BREAK)
+    if len(rows) * 2 * dim > out.size or not all(map(row.fullmatch, rows)):
+        return None
+    numbers = ", ".join(rows).replace("], [", ", ")
+    values = np.fromstring(numbers, dtype=np.float64, sep=",")
+    out[: values.size] = values
+    return values.size
+
+
+def _parse_sparse(
+    text: str, start: int, stop: int, dim: int, out: np.ndarray
+) -> int | None:
+    """``_parse_dense`` by one byte-level scan, converting only tokens not 0.0.
+
+    The scan finds the tokens, the maximal runs of bytes other than ", []",
+    and proves the layout from the lengths of the runs between them and
+    from their bytes.  A token that is byte for byte ``0.0`` stays 0 in
+    ``out`` (zero-filled); only the other tokens are checked against
+    ``_FLOAT`` and converted.  The temporaries take one byte per byte of
+    text or a few integers per token.
+    """
+    try:
+        raw = text[start - 1 : stop + 1].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # raw starts with "[" and ends with "]", so token i spans
+    # edges[2i]:edges[2i + 1]
+    punctuation = np.frombuffer(raw.translate(_PUNCTUATION), np.bool_)
+    edges = np.flatnonzero(punctuation[1:] != punctuation[:-1]) + 1
+    starts, ends = edges[::2], edges[1::2]
+    tokens = ends.size
+    rows, extra = divmod(tokens, 2 * dim)
+    if not rows or extra or tokens > out.size:
+        return None
+    # sizes[row, pair, part] is (token length, length of the gap after it);
+    # the gap after the last token is taken to be a row break
+    sizes = np.empty(2 * tokens, np.intp)
+    np.subtract(edges[1:], edges[:-1], out=sizes[:-1])
+    sizes[-1] = len(_ROW_BREAK)
+    sizes = sizes.reshape(rows, dim, 2, 2)
+    gaps = sizes[..., 1]
+    if (gaps[..., 0] != 2).any() or (gaps[:, :-1, 1] != 4).any():
+        return None
+    if (gaps[:, -1, 1] != len(_ROW_BREAK)).any():
+        return None
+    row_gaps = "], [".join([", "] * dim)
+    layout = f"[{_ROW_BREAK.join([row_gaps] * rows)}]".encode()
+    if raw.translate(None, _NUMBER_BYTES) != layout:
+        return None
+    zero = sizes[..., 0].ravel() == 3
+    first = starts[zero]
+    a = np.frombuffer(raw, np.uint8)
+    zero[zero] = (
+        (a[first] == ord("0")) & (a[first + 1] == ord(".")) & (a[first + 2] == ord("0"))
+    )
+    others = ~zero
+    if others.any():
+        spans = zip(starts[others].tolist(), ends[others].tolist())
+        numbers = b",".join([raw[i:j] for i, j in spans])
+        if _NUMBERS.fullmatch(numbers) is None:
+            return None
+        out[:tokens][others] = np.fromstring(numbers, dtype=np.float64, sep=",")
+    return tokens
 
 
 def _load_json(text: str | bytes) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Matrix utilities: validation, Haar sampling, file format."""
 
 import json
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unisynth import (
@@ -20,6 +22,7 @@ from unisynth import (
     save_matrix,
     validate_unitary,
 )
+from unisynth import matrix
 from unisynth.matrix import (
     _load_json,
     _load_saved,
@@ -43,6 +46,23 @@ def test_is_unitary_rejects_scaled_entry():
     m = np.eye(4, dtype=complex)
     m[0, 0] = 2.0
     assert unitarity_residual(m) == 3.0
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        haar_random_unitary(3, 1),
+        np.full((4, 4), 0.5 + 0.25j),
+        np.diag([complex(-0.0, -0.0), 1.0]),
+        np.diag([1e200, 1.0]),
+    ],
+    ids=["haar", "dense", "signed-zero", "1e200"],
+)
+def test_unitarity_residual_is_the_norm_of_gram_minus_identity(m):
+    m = m.astype(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+        assert np.float64(unitarity_residual(m)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_is_unitary_non_square_raises():
@@ -389,16 +409,49 @@ def test_load_matrix_is_bit_identical_to_the_json_path(text):
     assert _outcome(load_matrix, text) == _outcome(_load_json, text)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
-def test_saved_layout_is_parsed_in_bulk(n):
+# the zeros of a sparse matrix are written 0.0; -0.0 and 1.0 are set apart
+# from them in every kind
+def _sparse_matrix(kind, n):
+    dim = 1 << n
     rng = np.random.default_rng(n)
-    m = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << n)))
-    m[0, 1] = complex(-0.0, -0.0)
-    m[1, 0] = complex(0.0, -0.0)
-    text = save_matrix(m)
-    bulk = _load_saved(text)
-    assert bulk is not None
-    assert bulk.tobytes() == m.tobytes()
+    if kind == "diagonal":
+        m = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, dim)))
+        m[0, 0] = 1.0
+    elif kind == "permutation":
+        m = np.eye(dim, dtype=complex)[rng.permutation(dim)]
+    elif kind == "controlled-u":
+        k = min(n, 3)
+        m = np.eye(dim, dtype=complex)
+        m[dim - (1 << k) :, dim - (1 << k) :] = haar_random_unitary(k, n)
+    else:
+        # block-diagonal: one Haar block of each size 1..3 qubits, as fits
+        m = np.eye(dim, dtype=complex)
+        start = 0
+        for k in range(1, 4):
+            size = 1 << k
+            if start + size > dim:
+                break
+            m[start : start + size, start : start + size] = haar_random_unitary(k, n + k)
+            start += size
+    zeros = np.argwhere(m == 0)
+    if zeros.size:
+        m[tuple(zeros[0])] = complex(-0.0, -0.0)
+        m[tuple(zeros[-1])] = complex(0.0, -0.0)
+    return m
+
+
+_SPARSE_KINDS = ["diagonal", "permutation", "controlled-u", "block-diagonal"]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_saved_layout_is_parsed_in_bulk(n):
+    # a fallback to the json.loads path would give the same bits, so the
+    # bulk path is checked directly
+    for kind in _SPARSE_KINDS:
+        m = _sparse_matrix(kind, n)
+        bulk = _load_saved(save_matrix(m))
+        assert bulk is not None, kind
+        assert bulk.tobytes() == m.tobytes(), kind
 
 
 _SAVED_I = '{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
@@ -414,14 +467,163 @@ _SAVED_I = '{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0
         _SAVED_I.replace("1.0, 0.0]]]", "1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
         _SAVED_I.replace("[1.0, 0.0]]]", "[1.0, 0.0], [0.0, 0.0]]]"),
         _SAVED_I.replace('"n": 1', '"n": 2'),
+        # the same punctuation in the same order, around moved numbers
+        _SAVED_I.replace("[[[1.0, 0.0]", "[[[1.0,0.0 ]"),
+        save_matrix(np.eye(4)).replace("0.0], [0.0, 0.0], [", "0.0], 0.0[,0.0 ], [", 1),
+        _SAVED_I.replace("]], [[0.0, 0.0], [1.0, 0.0]]]}", "]], [0.0[,0.0 ], 1.0[,0.0 ]]]}"),
     ],
-    ids=["bytes", "newline", "pretty", "key-order", "extra-row", "ragged", "wrong-n"],
+    ids=[
+        "bytes", "newline", "pretty", "key-order", "extra-row", "ragged", "wrong-n",
+        "number-moved", "pair-moved", "row-moved",
+    ],
 )
 def test_other_layouts_go_to_the_json_path(text):
     assert _load_saved(_SAVED_I) is not None
     assert _load_saved(text) is None
 
 
+# no token is 0.0, so the rows are matched one by one
+_SAVED_DENSE = '{"n": 1, "matrix": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [-0.5, -0.5]]]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _SAVED_DENSE.replace("-0.5]]]", "-0.5]], [[0.5, 0.5], [0.5, 0.5]]]"),
+        _SAVED_DENSE.replace("]], [[0.5, 0.5], [", "], [0.5, 0.5]], [["),
+        _SAVED_DENSE.replace("[[[0.5, 0.5]", "[[[0.5,0.5 ]"),
+    ],
+    ids=["extra-row", "ragged-same-count", "number-moved"],
+)
+def test_other_dense_layouts_go_to_the_json_path(text):
+    assert _load_saved(_SAVED_DENSE) is not None
+    assert _load_saved(text) is None
+    assert _outcome(load_matrix, text) == _outcome(_load_json, text)
+
+
 @pytest.mark.parametrize("token", _OTHER_TOKENS)
 def test_tokens_not_in_json_float_form_go_to_the_json_path(token):
     assert _load_saved(_SAVED_I.replace("[1.0, 0.0]]]", f"[{token}, 0.0]]]")) is None
+
+
+@pytest.mark.parametrize("slot", ["re", "im"])
+@pytest.mark.parametrize("token", ["0.0e0", "-0.0", "0.0E-0", "-0.0e5", "0e0"])
+def test_zero_look_alikes_in_float_form_are_parsed_in_bulk(token, slot):
+    # not the 0.0 literal, so they are converted, and keep their sign
+    pair = f"[{token}, 0.0]" if slot == "re" else f"[0.0, {token}]"
+    text = _SAVED_I.replace("[[0.0, 0.0]", f"[{pair}")
+    bulk = _load_saved(text)
+    assert bulk is not None
+    assert bulk.tobytes() == _load_json(text).tobytes()
+    part = bulk[1, 0].real if slot == "re" else bulk[1, 0].imag
+    assert np.signbit(part) == token.startswith("-")
+
+
+@pytest.mark.parametrize("slot", ["re", "im"])
+@pytest.mark.parametrize(
+    "token", ["00.0", "0.", ".0", "0", "-0", "0.0.0", "0\u06610", "000", "0-0"]
+)
+def test_zero_look_alikes_not_in_json_float_form_go_to_the_json_path(token, slot):
+    pair = f"[{token}, 0.0]" if slot == "re" else f"[0.0, {token}]"
+    assert _load_saved(_SAVED_I.replace("[[0.0, 0.0]", f"[{pair}")) is None
+
+
+_ZERO_LOOK_ALIKES = [
+    "-0.0", "0.00", "00.0", "0.0e0", "0.0E-0", "0", "-0", "0.", ".0", "0.0.0", "0\u06610",
+    "000", "0e0",
+]
+_SPARSE_DEFECTS = ["none"] * 7 + [
+    "no-space", "two-spaces", "compact-row-break", "bracket", "moved", "newline", "cut"
+]
+
+
+@st.composite
+def _sparse_matrix_texts(draw):
+    """Sparse text in the saved layout, with at most one defect next to a 0.0."""
+    n = draw(st.integers(1, 3))
+    dim = 1 << n
+    tokens = ["0.0"] * (2 * dim * dim)
+    others = st.sampled_from(_ZERO_LOOK_ALIKES + ["1.0", "-0.5", "0.7071067811865476"])
+    for _ in range(draw(st.integers(0, 3))):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(others)
+    # parts alternate token and the gap after it
+    parts = []
+    for i, token in enumerate(tokens):
+        if i % 2 == 0:
+            gap = ", "
+        elif (i + 1) % (2 * dim):
+            gap = "], ["
+        else:
+            gap = "]], [["
+        parts += [token, gap]
+    parts[-1] = "]]]}"
+    zeros = [i for i, token in enumerate(tokens) if token == "0.0"]
+    defect = draw(st.sampled_from(_SPARSE_DEFECTS))
+    if defect != "none" and zeros:
+        i = draw(st.sampled_from(zeros))
+        # the gap after the token, or before it for the last token
+        gap = 2 * i + 1 if i + 1 < len(tokens) else 2 * i - 1
+        if defect == "no-space":
+            parts[gap] = parts[gap].replace(" ", "")
+        elif defect == "two-spaces":
+            parts[gap] = parts[gap].replace(" ", "  ")
+        elif defect == "compact-row-break":
+            breaks = [j for j, part in enumerate(parts) if part == "]], [["]
+            j = min(breaks, key=lambda j: abs(j - 2 * i))
+            parts[j] = "]],[["
+        elif defect == "bracket":
+            bracket = draw(st.sampled_from("[]"))
+            parts[2 * i] = draw(st.sampled_from([bracket + "0.0", "0.0" + bracket]))
+        elif defect == "moved":
+            # a byte of the gap before or after moves to the token's other side
+            if i and draw(st.booleans()):
+                parts[2 * i - 1], moved = parts[2 * i - 1][:-1], parts[2 * i - 1][-1]
+                parts[2 * i] = "0.0" + moved
+            else:
+                moved, parts[2 * i + 1] = parts[2 * i + 1][0], parts[2 * i + 1][1:]
+                parts[2 * i] = moved + "0.0"
+        elif defect == "newline":
+            k = draw(st.integers(0, 3))
+            parts[2 * i] = "0.0"[:k] + "\n" + "0.0"[k:]
+        else:
+            parts[2 * i] = "0.0"[: draw(st.integers(0, 2))]
+    return f'{{"n": {n}, "matrix": [[[' + "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrix_texts(), st.sampled_from([1, 40, matrix._CHUNK]))
+def test_sparse_load_matrix_is_bit_identical_to_the_json_path(text, chunk):
+    # small chunks split even an n = 1 matrix into one chunk per row
+    with mock.patch.object(matrix, "_CHUNK", chunk):
+        assert _outcome(load_matrix, text) == _outcome(_load_json, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_matrix_texts(), _sparse_matrix_texts()))
+@example('{"n": 1, "matrix": [[[]]]}')
+def test_dense_and_sparse_chunk_parsers_agree(text):
+    # _load_saved picks one by whether a zero entry is present; it makes
+    # no difference to the outcome
+    head = matrix._SAVED_HEAD.match(text) if isinstance(text, str) else None
+    assume(head is not None and text.endswith(matrix._SAVED_TAIL))
+    dim = 1 << int(head[1])
+    results = []
+    for parse in (matrix._parse_dense, matrix._parse_sparse):
+        out = np.zeros(2 * dim * dim)
+        count = parse(text, head.end(), len(text) - len(matrix._SAVED_TAIL), dim, out)
+        results.append(None if count is None else (count, out.tobytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kind, n", [("haar", 7), ("controlled-u", 9)])
+def test_load_matrix_temporaries_stay_within_four_times_the_text(kind, n):
+    # the peak covers the result, 16 bytes per entry, and every temporary
+    m = haar_random_unitary(n, 3) if kind == "haar" else _sparse_matrix(kind, n)
+    text = save_matrix(m)
+    tracemalloc.start()
+    try:
+        load_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
