@@ -13,10 +13,10 @@ Contains:
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format.  Text in
   the exact layout ``save_matrix`` writes is parsed in bulk, in chunks of
-  whole rows: a chunk with no zero entry by a regex per row and one
-  ``np.fromstring`` call, any other by a byte-level scan that converts only
-  the tokens that are not ``0.0``.  Any other JSON layout goes through
-  ``decode_json``, which ``parse_json`` shares, and yields the same bits.
+  whole rows, each by one byte-level scan that proves the layout and
+  converts only the tokens that are not ``0.0``, in one ``np.fromstring``
+  call.  Any other JSON layout goes through ``decode_json``, which
+  ``parse_json`` shares, and yields the same bits.
 """
 
 from __future__ import annotations
@@ -162,17 +162,20 @@ def decode_json(text: str | bytes, error: type[ValueError]) -> object:
 # this order, and every number in JSON float form (with a fraction or an
 # exponent), which json.loads reads with float().  Integer tokens are left to
 # json.loads: it reads -0 as the int 0, where float() gives -0.0.
-_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _SAVED_HEAD = re.compile(r'\{"n": ([1-9]), "matrix": \[\[\[')
 _SAVED_TAIL = "]]]}"
 _ROW_BREAK = "]], [["
-# the tokens of a chunk that are not 0.0, joined by commas
-_NUMBERS = re.compile(rf"{_FLOAT}(?:,{_FLOAT})*".encode())
+# 1 to 256 tokens in JSON float form, each followed by a comma; the bound
+# keeps the regex's backtracking stack to a few hundred tokens
+_NUMBERS = re.compile(
+    rb"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+),)"
+    rb"{1,256}"
+)
 # bytes.translate table: 1 at the layout's punctuation ", []", 0 elsewhere
 _PUNCTUATION = bytes(c in b", []" for c in range(256))
 _NUMBER_BYTES = b"+-.0123456789Ee"
 # text is parsed in chunks of whole rows, each this many characters or one
-# row more, which bounds the temporaries and the regex's backtracking stack
+# row more, which bounds the temporaries
 _CHUNK = 1 << 16
 
 
@@ -193,12 +196,10 @@ def load_matrix(text: str | bytes) -> np.ndarray:
 def _load_saved(text: str | bytes) -> np.ndarray | None:
     """Parse text in ``save_matrix``'s exact layout in bulk; None for any other.
 
-    The rows are read in chunks of whole rows.  A chunk with a zero entry
-    goes to ``_parse_sparse``, any other to ``_parse_dense``; both accept
-    the same text and give the same bits.  Numbers are converted by
-    ``np.fromstring``, which reads a float through the same CPython routine
-    as ``float()``, so the result has the bits ``_load_json`` returns,
-    signed zeros included.
+    The rows are read in chunks of whole rows, each by ``_parse_chunk``.
+    Numbers are converted by ``np.fromstring``, which reads a float through
+    the same CPython routine as ``float()``, so the result has the bits
+    ``_load_json`` returns, signed zeros included.
     """
     if not isinstance(text, str) or not text.endswith(_SAVED_TAIL):
         return None
@@ -213,10 +214,7 @@ def _load_saved(text: str | bytes) -> np.ndarray | None:
         cut = text.find(_ROW_BREAK, start + _CHUNK)
         if cut < 0:
             cut = stop
-        # in this layout a zero entry is written "0.0, 0.0]"
-        sparse = text.find("0.0, 0.0]", start, cut + 1) >= 0
-        parse = _parse_sparse if sparse else _parse_dense
-        count = parse(text, start, cut, dim, pairs[done:])
+        count = _parse_chunk(text, start, cut, dim, pairs[done:])
         if count is None:
             return None
         done += count
@@ -228,35 +226,21 @@ def _load_saved(text: str | bytes) -> np.ndarray | None:
     return pairs.view(np.complex128).reshape(dim, dim)
 
 
-def _parse_dense(
+def _parse_chunk(
     text: str, start: int, stop: int, dim: int, out: np.ndarray
 ) -> int | None:
     """Read the rows in ``text[start:stop]`` into ``out``; the number of reals.
 
-    Each row must be ``dim`` pairs, "re, im], [re, im], ..., [re, im"; then
-    one ``np.fromstring`` call converts the numbers.  None if a row is not.
-    """
-    row = re.compile(rf"{_FLOAT}, {_FLOAT}(?:\], \[{_FLOAT}, {_FLOAT}){{{dim - 1}}}")
-    rows = text[start:stop].split(_ROW_BREAK)
-    if len(rows) * 2 * dim > out.size or not all(map(row.fullmatch, rows)):
-        return None
-    numbers = ", ".join(rows).replace("], [", ", ")
-    values = np.fromstring(numbers, dtype=np.float64, sep=",")
-    out[: values.size] = values
-    return values.size
-
-
-def _parse_sparse(
-    text: str, start: int, stop: int, dim: int, out: np.ndarray
-) -> int | None:
-    """``_parse_dense`` by one byte-level scan, converting only tokens not 0.0.
-
-    The scan finds the tokens, the maximal runs of bytes other than ", []",
-    and proves the layout from the lengths of the runs between them and
-    from their bytes.  A token that is byte for byte ``0.0`` stays 0 in
-    ``out`` (zero-filled); only the other tokens are checked against
-    ``_FLOAT`` and converted.  The temporaries take one byte per byte of
-    text or a few integers per token.
+    Each row must be ``dim`` pairs, "re, im], [re, im], ..., [re, im", else
+    None.  One byte-level scan finds the tokens, the maximal runs of bytes
+    other than ", []", and proves the layout from the lengths of the runs
+    between them and from their bytes.  A token that is byte for byte
+    ``0.0`` stays 0 in ``out`` (zero-filled).  Each run of consecutive
+    other tokens is sliced whole, the runs are joined and stripped of
+    " []", which leaves one comma after each token; then ``_NUMBERS``
+    checks them a few hundred at a time and one ``np.fromstring`` call
+    converts them.  The temporaries take one byte per byte of text or a
+    few integers per token.
     """
     try:
         raw = text[start - 1 : stop + 1].encode("ascii")
@@ -292,12 +276,23 @@ def _parse_sparse(
     zero[zero] = (
         (a[first] == ord("0")) & (a[first + 1] == ord(".")) & (a[first + 2] == ord("0"))
     )
-    others = ~zero
-    if others.any():
-        spans = zip(starts[others].tolist(), ends[others].tolist())
-        numbers = b",".join([raw[i:j] for i, j in spans])
-        if _NUMBERS.fullmatch(numbers) is None:
-            return None
+    # others, the tokens that are not 0.0, with a False on either side
+    padded = np.zeros(tokens + 2, np.bool_)
+    others = np.invert(zero, out=padded[1:-1])
+    # runs[2k]:runs[2k + 1] are the token indices of the k-th run of others
+    runs = np.flatnonzero(padded[1:] != padded[:-1])
+    if runs.size:
+        spans = zip(starts[runs[::2]].tolist(), ends[runs[1::2] - 1].tolist())
+        numbers = b",".join([*(raw[i:j] for i, j in spans), b""])
+        numbers = numbers.translate(None, b" []")
+        # tokens hold no comma, so each match ends after a whole token
+        checked = 0
+        while checked < len(numbers):
+            match = _NUMBERS.match(numbers, checked)
+            if match is None:
+                return None
+            checked = match.end()
+        # np.fromstring reads the trailing comma as the end of the text
         out[:tokens][others] = np.fromstring(numbers, dtype=np.float64, sep=",")
     return tokens
 

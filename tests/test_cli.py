@@ -169,15 +169,24 @@ def test_verify_tol_flag_sets_pass_threshold(matrix_file, tmp_path, capsys):
     assert main(["verify", "-i", path, "-c", str(out), "--tol", "0.1"]) == 0
 
 
+def _controlled_u(n, k):
+    """Identity on the first 2**n - 2**k states, a Haar block on the rest."""
+    m = np.eye(1 << n, dtype=complex)
+    m[-(1 << k) :, -(1 << k) :] = haar_random_unitary(k, 5)
+    return m
+
+
 @pytest.mark.parametrize(
     "text",
     [
         save_matrix(haar_random_unitary(2, 5)),
+        # zero entries, whose 0.0 tokens the bulk path skips
+        save_matrix(_controlled_u(3, 2)),
         # integer entries, which only the json.loads path reads; the layout
         # save_matrix writes takes the bulk path
         '{"n": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}',
     ],
-    ids=["save_matrix-layout", "integer-entries"],
+    ids=["save_matrix-layout", "save_matrix-sparse", "integer-entries"],
 )
 def test_verify_round_trip(tmp_path, capsys, text):
     path = tmp_path / "m.json"

@@ -1,13 +1,14 @@
 """Matrix utilities: validation, Haar sampling, file format."""
 
 import json
+import re
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unisynth import (
@@ -401,19 +402,41 @@ def _outcome(parse, text):
     return m.dtype, m.shape, m.tobytes()
 
 
+# small chunks split even an n = 1 matrix into one chunk per row, and a
+# small bound on _NUMBERS splits a chunk's numbers into several matches
+_CHUNKS = st.sampled_from([1, 40, matrix._CHUNK])
+_BATCHES = st.sampled_from([1, 3, 256])
+
+
+def _chunked_outcomes_agree(text, chunk, batch):
+    pattern = matrix._NUMBERS.pattern
+    assert pattern.endswith(b"{1,256}")
+    numbers = re.compile(pattern[: -len(b"{1,256}")] + b"{1,%d}" % batch)
+    with mock.patch.object(matrix, "_CHUNK", chunk), mock.patch.object(
+        matrix, "_NUMBERS", numbers
+    ):
+        assert _outcome(load_matrix, text) == _outcome(_load_json, text)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_matrix_texts())
-def test_load_matrix_is_bit_identical_to_the_json_path(text):
+@given(_matrix_texts(), _CHUNKS, _BATCHES)
+@example('{"n": 1, "matrix": [[[]]]}', matrix._CHUNK, 256)
+def test_load_matrix_is_bit_identical_to_the_json_path(text, chunk, batch):
     # the bulk path either yields the json.loads path's bits, signed zeros
     # included, or declines, and then the same error comes out
-    assert _outcome(load_matrix, text) == _outcome(_load_json, text)
+    _chunked_outcomes_agree(text, chunk, batch)
 
 
 # the zeros of a sparse matrix are written 0.0; -0.0 and 1.0 are set apart
-# from them in every kind
-def _sparse_matrix(kind, n):
+# from them in every sparse kind.  The dense kinds have no zero entry: a
+# Haar matrix, and a real orthogonal one, whose imaginary parts are all 0.0.
+def _kind_matrix(kind, n):
     dim = 1 << n
     rng = np.random.default_rng(n)
+    if kind == "haar":
+        return haar_random_unitary(n, 3)
+    if kind == "real-orthogonal":
+        return np.linalg.qr(rng.standard_normal((dim, dim)))[0].astype(complex)
     if kind == "diagonal":
         m = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, dim)))
         m[0, 0] = 1.0
@@ -440,15 +463,17 @@ def _sparse_matrix(kind, n):
     return m
 
 
-_SPARSE_KINDS = ["diagonal", "permutation", "controlled-u", "block-diagonal"]
+_KINDS = [
+    "haar", "real-orthogonal", "diagonal", "permutation", "controlled-u", "block-diagonal"
+]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_saved_layout_is_parsed_in_bulk(n):
     # a fallback to the json.loads path would give the same bits, so the
     # bulk path is checked directly
-    for kind in _SPARSE_KINDS:
-        m = _sparse_matrix(kind, n)
+    for kind in _KINDS:
+        m = _kind_matrix(kind, n)
         bulk = _load_saved(save_matrix(m))
         assert bulk is not None, kind
         assert bulk.tobytes() == m.tobytes(), kind
@@ -482,7 +507,7 @@ def test_other_layouts_go_to_the_json_path(text):
     assert _load_saved(text) is None
 
 
-# no token is 0.0, so the rows are matched one by one
+# no token is 0.0, so each chunk's tokens are one run, sliced whole
 _SAVED_DENSE = '{"n": 1, "matrix": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [-0.5, -0.5]]]}'
 
 
@@ -591,35 +616,17 @@ def _sparse_matrix_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_sparse_matrix_texts(), st.sampled_from([1, 40, matrix._CHUNK]))
-def test_sparse_load_matrix_is_bit_identical_to_the_json_path(text, chunk):
-    # small chunks split even an n = 1 matrix into one chunk per row
-    with mock.patch.object(matrix, "_CHUNK", chunk):
-        assert _outcome(load_matrix, text) == _outcome(_load_json, text)
+@given(_sparse_matrix_texts(), _CHUNKS, _BATCHES)
+def test_sparse_load_matrix_is_bit_identical_to_the_json_path(text, chunk, batch):
+    _chunked_outcomes_agree(text, chunk, batch)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(_matrix_texts(), _sparse_matrix_texts()))
-@example('{"n": 1, "matrix": [[[]]]}')
-def test_dense_and_sparse_chunk_parsers_agree(text):
-    # _load_saved picks one by whether a zero entry is present; it makes
-    # no difference to the outcome
-    head = matrix._SAVED_HEAD.match(text) if isinstance(text, str) else None
-    assume(head is not None and text.endswith(matrix._SAVED_TAIL))
-    dim = 1 << int(head[1])
-    results = []
-    for parse in (matrix._parse_dense, matrix._parse_sparse):
-        out = np.zeros(2 * dim * dim)
-        count = parse(text, head.end(), len(text) - len(matrix._SAVED_TAIL), dim, out)
-        results.append(None if count is None else (count, out.tobytes()))
-    assert results[0] == results[1]
-
-
-@pytest.mark.parametrize("kind, n", [("haar", 7), ("controlled-u", 9)])
+@pytest.mark.parametrize(
+    "kind, n", [("haar", 7), ("real-orthogonal", 7), ("controlled-u", 9)]
+)
 def test_load_matrix_temporaries_stay_within_four_times_the_text(kind, n):
     # the peak covers the result, 16 bytes per entry, and every temporary
-    m = haar_random_unitary(n, 3) if kind == "haar" else _sparse_matrix(kind, n)
-    text = save_matrix(m)
+    text = save_matrix(_kind_matrix(kind, n))
     tracemalloc.start()
     try:
         load_matrix(text)
