@@ -102,13 +102,6 @@ def _read(path: str, what: str, parse, error: type[ValueError]):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.backend == "qsharp":
         check_operation_name(args.name)
@@ -120,7 +113,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         text = emit_qasm3(circuit)
     else:
         text = emit_json(circuit) + "\n"
-    _write_output(text, args.output)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.output).write_text(text, encoding="utf-8")
     report = verify(matrix, circuit)
     stats = census(circuit)
     print(

@@ -21,7 +21,7 @@ import json
 import re
 from typing import Callable, Iterable
 
-from .circuit import Circuit, Gate, GateKind, check_angle, trusted_gate
+from .circuit import ROTATION_KINDS, Circuit, Gate, GateKind, check_angle, trusted_gate
 from .matrix import decode_json
 
 JSON_IR_VERSION = 1
@@ -126,7 +126,7 @@ def _qsharp_statement(
 ) -> str:
     qubit = f"qs[{target}]"
     control_list = ", ".join(f"qs[{q}]" for q in controls)
-    if kind in (GateKind.X, GateKind.FCX):
+    if kind not in ROTATION_KINDS:
         if not controls:
             return f"    X({qubit});"
         return f"    Controlled X([{control_list}], {qubit});"
@@ -151,7 +151,7 @@ def emit_qasm3(circuit: Circuit) -> str:
 def _qasm3_statement(
     kind: GateKind, target: int, controls: tuple[int, ...], angle: str
 ) -> str:
-    if kind in (GateKind.X, GateKind.FCX):
+    if kind not in ROTATION_KINDS:
         call = "x"
     else:
         name = {GateKind.FCRY: "ry", GateKind.FCRZ: "rz", GateKind.FCR1: "p"}[kind]

@@ -37,11 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import ROTATION_KINDS, Circuit, Gate, GateKind
 from .matrix import DimensionError, check_tolerance
-
-
-_SWAP_KINDS = frozenset({GateKind.X, GateKind.FCX})
 
 
 def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
@@ -110,7 +107,7 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         tbit = 1 << gate.target
         controls = gate.controls
-        if not controls and gate.kind in _SWAP_KINDS:
+        if not controls and gate.kind not in ROTATION_KINDS:
             frame ^= tbit
         elif len(controls) == full:
             # every control bit 1, target bit 0: the one logical row dim-1-tbit

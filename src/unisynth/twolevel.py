@@ -58,26 +58,6 @@ def gray_permutation(n: int) -> np.ndarray:
     return codes ^ (codes >> 1)
 
 
-def _rotation(a: complex, b: complex, abs_b: float) -> tuple:
-    # the rotation (row-major entries) that zeroes b against a, whose
-    # magnitude abs_b is above ZERO_THRESHOLD, and (theta, arg a, arg b);
-    # None in their place for the X block, when a is at or below it
-    abs_a = abs(a)
-    if abs_a <= ZERO_THRESHOLD:
-        return (_ZERO, _ONE, _ONE, _ZERO), None
-    theta = math.atan2(abs_b, abs_a)
-    arg_a = cmath.phase(a)
-    arg_b = cmath.phase(b)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    ea = cmath.exp(1j * arg_a)
-    eb = cmath.exp(1j * arg_b)
-    return (
-        (cos_t * ea.conjugate(), -sin_t * eb, sin_t * eb.conjugate(), cos_t * ea),
-        (theta, arg_a, arg_b),
-    )
-
-
 def _zyz_angles(
     u00: complex, u01: complex, u10: complex, u11: complex, flip: bool = False
 ) -> Angles:
@@ -147,16 +127,31 @@ def two_level_angles(
             abs_b = abs(b)
             if abs_b <= ZERO_THRESHOLD:
                 continue
-            entries, angles = _rotation(work.item(row, col - 1), b, abs_b)
-            rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = entries
-            work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
-            # the emitted block is the rotation's conjugate transpose
+            a = work.item(row, col - 1)
+            abs_a = abs(a)
+            # the rotation (row-major entries) that zeroes b against a; the
+            # emitted block is its conjugate transpose
             s1, s2, sign = pairs[col - 1]
-            if angles is None:
+            if abs_a <= ZERO_THRESHOLD:
+                entries = (_ZERO, _ONE, _ONE, _ZERO)
                 out.append((s1, s2, None))
             else:
-                theta, arg_a, arg_b = angles
+                theta = math.atan2(abs_b, abs_a)
+                arg_a = cmath.phase(a)
+                arg_b = cmath.phase(b)
+                cos_t = math.cos(theta)
+                sin_t = math.sin(theta)
+                ea = cmath.exp(1j * arg_a)
+                eb = cmath.exp(1j * arg_b)
+                entries = (
+                    cos_t * ea.conjugate(),
+                    -sin_t * eb,
+                    sin_t * eb.conjugate(),
+                    cos_t * ea,
+                )
                 out.append((s1, s2, (0.0, sign * theta, sign * arg_a, sign * arg_b)))
+            rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = entries
+            work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
         arg = cmath.phase(work.item(row, row))
         if abs(arg) > IDENTITY_ANGLE_TOL:
             # Zero entries along the row can leave a unit-modulus phase on
