@@ -17,6 +17,7 @@ from unisynth import (
     matrix_to_circuit,
     parse_json,
     save_matrix,
+    validate_unitary,
     verify,
 )
 from unisynth.cli import GateCensus, census, main
@@ -143,6 +144,19 @@ def test_decompose_non_unitary_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["decompose", "-i", str(path)]) == 2
     assert "residual" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP item 5: validation does not imply verification",
+)
+def test_decompose_verifies_an_input_that_passes_validation(matrix_file, capsys):
+    # residual 4.31e-8, within the 8e-8 input tolerance; the circuit misses
+    # the 1e-8 verification threshold at Frobenius 2.92e-8 and exits 1
+    m = haar_random_unitary(3, 42)
+    m[0, 0] *= 1 + 1e-7
+    validate_unitary(m)  # an input error here would be a real failure
+    assert main(["decompose", "-i", matrix_file(m)]) == 0
 
 
 def test_decompose_malformed_json_is_input_error(tmp_path, capsys):
