@@ -129,9 +129,9 @@ def two_level_angles(
                 continue
             a = work.item(row, col - 1)
             abs_a = abs(a)
+            s1, s2, sign = pairs[col - 1]
             # the rotation (row-major entries) that zeroes b against a; the
             # emitted block is its conjugate transpose
-            s1, s2, sign = pairs[col - 1]
             if abs_a <= ZERO_THRESHOLD:
                 entries = (_ZERO, _ONE, _ONE, _ZERO)
                 out.append((s1, s2, None))
