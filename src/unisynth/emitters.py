@@ -10,9 +10,13 @@ Every backend relies on one invariant: a statement's text depends only on
 the gate's wiring (kind, target, controls) and its angle, with the angle's
 text appearing once.  So each emitter renders the text around the angle
 once per distinct wiring and, per gate, formats only the angle between
-those two fragments.  ``parse_json`` likewise builds the first gate of each
-distinct wiring of a document through ``Gate``, which checks every field,
-and checks only the angle of each later gate of that wiring.
+those two fragments.  ``parse_json`` reads text in ``emit_json``'s exact
+layout back the same way: it checks each distinct entry head through
+``Gate`` once and converts all angles in one ``np.fromstring`` call.  Any
+other layout goes through ``json.loads``, and the first gate of each
+distinct wiring of a document is built through ``Gate``, which checks
+every field, and only the angle of each later gate of that wiring is
+checked.  Both give the same gates, with the same angle bits.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ import json
 import re
 from typing import Callable, Iterable
 
-from .circuit import ROTATION_KINDS, Circuit, Gate, GateKind, check_angle, trusted_gate
-from .matrix import decode_json
+import numpy as np
+
+from .circuit import FOUR_PI, ROTATION_KINDS, TWO_PI, Circuit, Gate, GateKind
+from .circuit import check_angle, normalize_angle, trusted_gate
+from .matrix import decode_json, parse_floats
 
 JSON_IR_VERSION = 1
 
@@ -176,11 +183,15 @@ def emit_json(circuit: Circuit) -> str:
     return envelope[:-2] + ", ".join(entries) + envelope[-2:]
 
 
+def _json_fields(kind: GateKind, target: int, controls: tuple[int, ...]) -> dict:
+    # a gate's JSON fields but its angle, in the order emit_json writes them
+    return {"kind": kind.value, "target": target, "controls": list(controls)}
+
+
 def _json_entry(
     kind: GateKind, target: int, controls: tuple[int, ...], angle: str
 ) -> str:
-    fields = {"kind": kind.value, "target": target, "controls": list(controls)}
-    entry = json.dumps(fields)
+    entry = json.dumps(_json_fields(kind, target, controls))
     if not angle:
         return entry
     # json.dumps writes a float as its repr, and the angle key comes last
@@ -191,9 +202,116 @@ def parse_json(text: str | bytes) -> Circuit:
     """Parse circuit JSON produced by ``emit_json``.
 
     Raises:
-        CircuitFormatError: malformed or too deeply nested JSON, unsupported
-        version, unknown gate kind, or fields that violate the gate invariants.
+        CircuitFormatError: malformed, too deeply nested or undecodable JSON,
+        an integer with too many digits, unsupported version, unknown gate
+        kind, or fields that violate the gate invariants.
     """
+    circuit = _parse_emitted(text)
+    return _parse_document(text) if circuit is None else circuit
+
+
+# The layout emit_json writes: json.dumps's default separators, the keys in
+# this order, at least one gate, and every angle in JSON float form (with a
+# fraction or an exponent).  Integer tokens are left to json.loads: it reads
+# -0 as the int 0, where float() gives -0.0.  "n" is bounded so that int()
+# never meets CPython's digit limit.
+_EMITTED_HEAD = re.compile(
+    rf'\{{"version": {JSON_IR_VERSION}, "n": ([1-9][0-9]{{0,8}}), "gates": \[\{{'
+)
+_EMITTED_TAIL = "}]}"
+_GATE_BREAK = "}, {"
+_ANGLE_KEY = ', "angle": '
+
+
+def _parse_emitted(text: str | bytes) -> Circuit | None:
+    """Parse text in ``emit_json``'s exact layout in bulk; None for any other.
+
+    The text may end in one newline, as ``decompose --backend json`` writes
+    it.  The gate list is split at "}, {" and each entry partitioned at its
+    angle key.  ``_emitted_wirings`` checks each distinct head once; X and
+    FCX entries reuse its gate.  The angles are converted by one
+    ``parse_floats`` call and normalized as ``check_angle`` normalizes
+    them, so the result has the gates and bits the ``json.loads`` path
+    returns.  Text this does not prove valid, an invalid one included, gets
+    None, and that path raises its error with the gate's index.
+    """
+    if not isinstance(text, str):
+        return None
+    stop = len(text) - len(_EMITTED_TAIL) - text.endswith("\n")
+    envelope = _EMITTED_HEAD.match(text)
+    if envelope is None or not text.startswith(_EMITTED_TAIL, stop):
+        return None
+    n = int(envelope[1])
+    entries = [
+        entry.partition(_ANGLE_KEY)
+        for entry in text[envelope.end() : stop].split(_GATE_BREAK)
+    ]
+    wirings = _emitted_wirings({(head, key) for head, key, _ in entries})
+    if wirings is None:
+        return None
+    tokens = [token for _, key, token in entries if key]
+    try:
+        numbers = ",".join([*tokens, ""]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    values = parse_floats(numbers)
+    # a token holding a comma reads as two values
+    if values is None or values.size != len(tokens) or not np.isfinite(values).all():
+        return None
+    angles = iter(values.tolist())
+    gates = [
+        gate
+        if period is None
+        else trusted_gate(
+            gate.kind, gate.target, gate.controls, normalize_angle(next(angles), period)
+        )
+        for gate, period in [wirings[head, key] for head, key, _ in entries]
+    ]
+    try:
+        return Circuit(n, tuple(gates))
+    except ValueError:
+        return None
+
+
+def _emitted_wirings(heads: set[tuple[str, str]]) -> dict | None:
+    """Each (head, angle key) pair's gate and, for a rotation, angle period.
+
+    The key is "" for an entry with no angle, and a rotation's head is read
+    with the angle 0.0.  One ``json.loads`` decodes every head, and each
+    goes through ``_parse_gate``, so ``Gate`` checks every field of every
+    wiring.  None unless ``Gate`` takes each head and each is the text
+    ``_json_entry`` writes for its gate, which one ``json.dumps`` checks.
+    """
+    heads = list(heads)
+    text = "[" + ", ".join(
+        [f"{{{head}{key}0.0}}" if key else f"{{{head}}}" for head, key in heads]
+    ) + "]"
+    seen: dict = {}
+    try:
+        gates = [
+            _parse_gate(doc, 0, seen) for doc in decode_json(text, CircuitFormatError)
+        ]
+    except CircuitFormatError:
+        return None
+    if len(gates) != len(heads):
+        return None
+    fields = [_json_fields(gate.kind, gate.target, gate.controls) for gate in gates]
+    wirings = {}
+    for (head, key), gate, entry in zip(heads, gates, fields):
+        if gate.kind not in ROTATION_KINDS:
+            wirings[head, key] = gate, None
+        else:
+            entry["angle"] = 0.0
+            period = TWO_PI if gate.kind is GateKind.FCR1 else FOUR_PI
+            wirings[head, key] = gate, period
+    # json.dumps writes the fields as _json_entry does, 0.0 as "0.0"
+    if json.dumps(fields) != text:
+        return None
+    return wirings
+
+
+def _parse_document(text: str | bytes) -> Circuit:
+    """``parse_json`` for any JSON layout, through ``json.loads``."""
     doc = decode_json(text, CircuitFormatError)
     if not isinstance(doc, dict):
         raise CircuitFormatError("expected a JSON object at top level")

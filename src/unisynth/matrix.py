@@ -14,9 +14,9 @@ Contains:
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format.  Text in
   the exact layout ``save_matrix`` writes is parsed in bulk, in chunks of
   whole rows, each by one byte-level scan that proves the layout and
-  converts only the tokens that are not ``0.0``, in one ``np.fromstring``
-  call.  Any other JSON layout goes through ``decode_json``, which
-  ``parse_json`` shares, and yields the same bits.
+  converts only the tokens that are not ``0.0``, through ``parse_floats``.
+  Any other JSON layout goes through ``decode_json``, and yields the same
+  bits.  ``parse_json`` shares both ``decode_json`` and ``parse_floats``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -145,7 +146,8 @@ def save_matrix(matrix: np.ndarray) -> str:
 
 
 def decode_json(text: str | bytes, error: type[ValueError]) -> object:
-    """``json.loads``, raising ``error`` for malformed or too deeply nested JSON."""
+    """``json.loads``, raising ``error`` for malformed or too deeply nested
+    JSON, or an integer longer than ``sys.get_int_max_str_digits()``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -156,6 +158,11 @@ def decode_json(text: str | bytes, error: type[ValueError]) -> object:
         raise error("JSON is nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise error(f"cannot decode text: {exc}") from None
+    except ValueError:
+        # the one other error json.loads raises: CPython's int() refuses a
+        # number with more digits than its limit
+        limit = sys.get_int_max_str_digits()
+        raise error(f"an integer has more than {limit} digits") from None
 
 
 # The layout save_matrix writes: json.dumps's default separators, the keys in
@@ -186,7 +193,7 @@ def load_matrix(text: str | bytes) -> np.ndarray:
         MatrixFormatError: malformed, undecodable or too deeply nested JSON,
             wrong document structure, an entry that is not a pair of JSON
             numbers (``true``/``false`` are not numbers), or a number too
-            large.
+            large or with too many digits.
         DimensionError: dimension not 2**n or inconsistent with "n".
     """
     matrix = _load_saved(text)
@@ -285,16 +292,30 @@ def _parse_chunk(
         spans = zip(starts[runs[::2]].tolist(), ends[runs[1::2] - 1].tolist())
         numbers = b",".join([*(raw[i:j] for i, j in spans), b""])
         numbers = numbers.translate(None, b" []")
-        # tokens hold no comma, so each match ends after a whole token
-        checked = 0
-        while checked < len(numbers):
-            match = _NUMBERS.match(numbers, checked)
-            if match is None:
-                return None
-            checked = match.end()
-        # np.fromstring reads the trailing comma as the end of the text
-        out[:tokens][others] = np.fromstring(numbers, dtype=np.float64, sep=",")
+        # tokens hold no comma, so there is one value per token
+        values = parse_floats(numbers)
+        if values is None:
+            return None
+        out[:tokens][others] = values
     return tokens
+
+
+def parse_floats(numbers: bytes) -> np.ndarray | None:
+    """The values of ``numbers``, tokens each followed by a comma, in one call.
+
+    None unless every token is in JSON float form, which ``_NUMBERS`` checks
+    a few hundred tokens at a time.  Checked first, the text gives
+    ``np.fromstring`` nothing malformed to warn about, and it reads each
+    token through the same CPython routine as ``float()``.
+    """
+    checked = 0
+    while checked < len(numbers):
+        match = _NUMBERS.match(numbers, checked)
+        if match is None:
+            return None
+        checked = match.end()
+    # np.fromstring reads the trailing comma as the end of the text
+    return np.fromstring(numbers, dtype=np.float64, sep=",")
 
 
 def _load_json(text: str | bytes) -> np.ndarray:

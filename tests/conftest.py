@@ -3,16 +3,43 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from unisynth import Circuit, Gate, GateKind
+from unisynth import matrix
 
 # CI selects this with --hypothesis-profile=ci: the same examples on every
 # run, so a failing property fails alike each time, and no deadline on
 # shared runners.  Local runs keep the default (random) profile.
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+# CPython's int() refuses a decimal text with more digits than this limit,
+# which json.loads meets on a long JSON integer; some 3.10 releases have none
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_INTEGER = "1" * 5000
+needs_int_digit_limit = pytest.mark.skipif(
+    not 0 < INT_DIGIT_LIMIT < len(LONG_INTEGER),
+    reason="int() has no digit limit below 5000 digits",
+)
+
+
+def float_batches(batch: int):
+    """Patch ``matrix._NUMBERS`` to check ``batch`` float tokens per match.
+
+    Both bulk parsers check their tokens through ``matrix.parse_floats``,
+    so a small batch splits even a short text's tokens into several
+    matches.
+    """
+    pattern = matrix._NUMBERS.pattern
+    assert pattern.endswith(b"{1,256}")
+    numbers = re.compile(pattern[: -len(b"{1,256}")] + b"{1,%d}" % batch)
+    return mock.patch.object(matrix, "_NUMBERS", numbers)
 
 # Controlled-NOT with control qubit 1 and target qubit 0 (little-endian), so
 # the swap block sits on basis states 2 and 3.

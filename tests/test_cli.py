@@ -21,6 +21,9 @@ from unisynth import (
     verify,
 )
 from unisynth.cli import GateCensus, census, main
+from unisynth.emitters import _parse_emitted
+
+from conftest import INT_DIGIT_LIMIT, LONG_INTEGER, needs_int_digit_limit
 
 
 def _src_env():
@@ -92,6 +95,20 @@ def test_decompose_json_backend_verifies(matrix_file, tmp_path):
     assert main(["decompose", "-i", path, "-o", str(out), "--backend", "json"]) == 0
     circuit = parse_json(out.read_text())
     assert verify(a, circuit).passed
+
+
+def test_verify_parses_a_decompose_json_file_in_bulk(matrix_file, tmp_path, capsys):
+    # decompose writes emit_json's text and one newline; verify's parser
+    # takes that text in bulk, not through json.loads
+    path = matrix_file(haar_random_unitary(3, 7))
+    out = tmp_path / "c.json"
+    assert main(["decompose", "-i", path, "-o", str(out), "--backend", "json"]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.endswith("]}\n")
+    assert _parse_emitted(text) is not None
+    capsys.readouterr()
+    assert main(["verify", "-i", path, "-c", str(out)]) == 0
+    assert "verification passed" in capsys.readouterr().out
 
 
 def test_decompose_custom_operation_name(matrix_file, capsys):
@@ -454,6 +471,27 @@ def test_bad_matrix_number_is_input_error(tmp_path, capsys, command, entry, mess
         argv += ["-c", str(circuit_path)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("bad", ["matrix", "circuit"])
+def test_verify_integer_past_the_digit_limit_is_input_error_naming_the_file(
+    matrix_file, tmp_path, capsys, bad
+):
+    # int()'s own ValueError told the user to call sys.set_int_max_str_digits()
+    path = matrix_file(np.eye(2))
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text('{"version": 1, "n": 1, "gates": []}', encoding="utf-8")
+    if bad == "matrix":
+        bad_path = path
+        text = f'{{"n": {LONG_INTEGER}, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}'
+    else:
+        bad_path = str(circuit_path)
+        text = f'{{"version": 1, "n": {LONG_INTEGER}, "gates": []}}'
+    Path(bad_path).write_text(text, encoding="utf-8")
+    assert main(["verify", "-i", path, "-c", str(circuit_path)]) == 2
+    message = f"an integer has more than {INT_DIGIT_LIMIT} digits"
+    assert capsys.readouterr().err == f"error: {bad_path}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ constructors in ``masked_simulator.py``.
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -29,7 +30,15 @@ from unisynth import (
     parse_json,
 )
 
-from conftest import random_circuit
+from unisynth.emitters import _parse_document, _parse_emitted
+
+from conftest import (
+    INT_DIGIT_LIMIT,
+    LONG_INTEGER,
+    float_batches,
+    needs_int_digit_limit,
+    random_circuit,
+)
 from masked_simulator import gate_block
 
 
@@ -361,6 +370,27 @@ def test_parse_json_rejects_boolean_angle(token):
         parse_json(text)
 
 
+@needs_int_digit_limit
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'{{"version": 1, "n": {LONG_INTEGER}, "gates": '
+        '[{"kind": "x", "target": 0, "controls": []}]}',
+        '{"version": 1, "n": 1, "gates": [{"kind": "x", "target": '
+        f'{LONG_INTEGER}, "controls": []}}]}}',
+        '{"version": 1, "n": 1, "gates": [{"kind": "fcx", "target": 0, "controls": '
+        f'[{LONG_INTEGER}]}}]}}',
+    ],
+    ids=["n", "target", "control"],
+)
+def test_parse_json_rejects_an_integer_past_the_digit_limit(text):
+    # int()'s own ValueError told the user to raise the limit in Python
+    assert _parse_emitted(text) is None
+    message = f"^an integer has more than {INT_DIGIT_LIMIT} digits$"
+    with pytest.raises(CircuitFormatError, match=message):
+        parse_json(text)
+
+
 # A parsed document's wirings are checked once each; a later gate must not
 # slip past a check because its fields compare equal to an earlier valid one
 # (JSON's true == 1 == 1.0, with equal hashes).
@@ -477,3 +507,209 @@ def test_json_round_trip_on_random_circuits(n):
     for length in (0, 1, 300):
         c = random_circuit(rng, n, length)
         assert parse_json(emit_json(c)) == c
+
+
+# ------------------------------------------------ bulk path for emitted text -----
+
+
+def _fields(circuit):
+    """The circuit's n and every gate's fields, angles as their bits."""
+    return circuit.n, [
+        (g.kind, g.target, g.controls, None if g.angle is None else struct.pack("<d", g.angle))
+        for g in circuit.gates
+    ]
+
+
+def _outcome(parse, text):
+    try:
+        circuit = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return _fields(circuit)
+
+
+def _stored_text(seed, n, length):
+    """A partial-control circuit as perfbench's ``verify_stored`` stores it.
+
+    ``json.dumps`` of the document, with raw angles: exact zeros, full
+    periods and others up to two periods, which parsing normalizes.
+    """
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(length):
+        kind = ("x", "fcx", "fcry", "fcrz", "fcr1")[rng.integers(5)]
+        target = int(rng.integers(n))
+        entry = {"kind": kind, "target": target, "controls": []}
+        if kind != "x":
+            others = [q for q in range(n) if q != target]
+            k = int(rng.integers(len(others) + 1))
+            entry["controls"] = sorted(int(q) for q in rng.choice(others, k, replace=False))
+        if kind not in ("x", "fcx"):
+            period = 2.0 * math.pi if kind == "fcr1" else 4.0 * math.pi
+            entry["angle"] = float(rng.choice([0.0, period, rng.uniform(-period, period)]))
+        gates.append(entry)
+    return json.dumps({"version": 1, "n": n, "gates": gates})
+
+
+def _phase_matrix(n):
+    return np.diag(np.exp(1j * np.linspace(-3.0, 3.0, 1 << n)))
+
+
+# compiled circuits: Haar inputs, a diagonal one (phase fixes, R1 gates)
+# and a permutation (exact-X blocks, FCX gates)
+_COMPILED = {
+    **{f"haar-{n}": haar_random_unitary(n, 30 + n) for n in range(1, 6)},
+    "diagonal-3": _phase_matrix(3),
+    "permutation-3": np.eye(8)[[1, 0, 3, 2, 5, 7, 6, 4]],
+}
+_EMITTED = {
+    **{name: emit_json(matrix_to_circuit(m)) for name, m in _COMPILED.items()},
+    **{f"stored-{n}": _stored_text(n, n, 400) for n in (1, 3, 7)},
+}
+
+
+@pytest.mark.parametrize("newline", ["", "\n"], ids=["bare", "newline"])
+@pytest.mark.parametrize("text", _EMITTED.values(), ids=_EMITTED.keys())
+def test_emitted_and_stored_circuits_are_parsed_in_bulk(text, newline):
+    # a silent fallback to json.loads would pass every agreement test
+    text += newline
+    circuit = _parse_emitted(text)
+    assert circuit is not None
+    assert _fields(circuit) == _fields(_parse_document(text))
+
+
+_ENTRY = '{"kind": "fcry", "target": 0, "controls": [1], "angle": 0.5}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'{{"version": 1, "n": 2, "gates": [{_ENTRY}]}}\n\n',
+        f'{{"version": 1, "n": 2, "gates": [{_ENTRY}]}}\r\n',
+        f'{{"version": 1, "n": 2, "gates": [{_ENTRY}]}} ',
+        f'{{"version":1,"n":2,"gates":[{_ENTRY}]}}',
+        f'{{"n": 2, "version": 1, "gates": [{_ENTRY}]}}',
+        f'{{"version": 1, "n": 2, "gates": [{_ENTRY}]}}'.encode(),
+        '{"version": 1, "n": 2, "gates": []}',
+        '{"version": 1, "n": 3, "gates": [{"kind": "fcx", "target": 0, "controls": [2, 1]}]}',
+        '{"version": 1, "n": 2, "gates": [{"kind": "fcx", "target": 0, "controls": [1], "x": 1}]}',
+        '{"version": 1, "n": 2, "gates": [{"target": 0, "kind": "fcx", "controls": [1]}]}',
+        '{"version": 1, "n": 2, "gates": [{"kind": "fcx", "target": 0, "controls":[1]}]}',
+        '{"version": 1, "n": 2, "gates": [{"kind": "fcx", "kind": "fcx", "target": 0, '
+        '"controls": [1]}]}',
+        '{"version": 1, "n": 1, "gates": [{"kind": "fcry", "target": 0, "controls": [], '
+        '"angle": 1}]}',
+        '{"version": 1, "n": 1, "gates": [{"kind": "fcry", "target": 0, "controls": [], '
+        '"angle": 1.0 }]}',
+    ],
+    ids=["two-newlines", "crlf", "space", "compact", "key-order", "bytes", "no-gates",
+         "unsorted-controls", "extra-key", "entry-key-order", "entry-compact",
+         "duplicate-key", "integer-angle", "space-after-angle"],
+)
+def test_other_layouts_go_to_the_json_path(text):
+    assert _parse_emitted(text) is None
+    assert _outcome(parse_json, text) == _outcome(_parse_document, text)
+
+
+# angle tokens json.loads reads otherwise than float() or not as a number:
+# -0 is the int 0, where float() gives -0.0; the rest are ints, non-finite,
+# not JSON, or more than one token
+_HOSTILE_TOKENS = [
+    "0", "-0", "7", "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1.0,2.0",
+    "1,5", "1\u0661.0", "\uff10.5", "1.", ".5", "+1.0", "1e", "01.0", "true", "null",
+    '"0.5"', "[0.5]", "0.5 ", "",
+]
+_FLOAT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1E+300", "1e-05", "0.30000000000000004"]),
+)
+# document-level departures, applied to the decoded document and dumped
+# again, then text-level ones
+_DOC_DEFECTS = [
+    "angle", "no-angle", "extra-key", "key-order", "controls", "kind", "target",
+    "n", "version", "empty",
+]
+_TEXT_DEFECTS = ["token", "duplicate-key", "compact", "insert", "delete", "cut", "bytes",
+                 "trailing"]
+
+
+@st.composite
+def _circuit_texts(draw):
+    """An emitted or stored circuit's text, or one with one departure."""
+    source = draw(st.sampled_from(["compiled", "random", "stored"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 4))
+    if source == "compiled":
+        text = draw(st.sampled_from([_EMITTED[name] for name in _COMPILED]))
+    elif source == "random":
+        text = emit_json(random_circuit(np.random.default_rng(seed), n, draw(st.integers(1, 12))))
+    else:
+        text = _stored_text(seed, n, draw(st.integers(1, 12)))
+    defect = draw(st.sampled_from(["none"] * 8 + ["newline"] * 2 + _DOC_DEFECTS + _TEXT_DEFECTS))
+    if defect == "none":
+        return text
+    if defect == "newline":
+        return text + "\n"
+    if defect in _DOC_DEFECTS:
+        doc = json.loads(text)
+        gates = doc["gates"]
+        i = draw(st.integers(0, len(gates) - 1))
+        gate = gates[i]
+        if defect == "angle":
+            gate["angle"] = draw(st.sampled_from([0.5, -0.0, 1, True]))
+        elif defect == "no-angle":
+            gate.pop("angle", None)
+        elif defect == "extra-key":
+            gate["note"] = 1
+        elif defect == "key-order":
+            gates[i] = dict(reversed(gate.items()))
+        elif defect == "controls":
+            gate["controls"] = draw(st.sampled_from(
+                [gate["controls"][::-1], gate["controls"] * 2, [True], [0.0], [-1], [9]]
+            ))
+        elif defect == "kind":
+            gate["kind"] = draw(st.sampled_from(["h", "FCRY", "x}, {", ', "angle": ', "fcx\u00e9"]))
+        elif defect == "target":
+            gate["target"] = draw(st.sampled_from([-1, n, 1.0, True, "0", 10**20]))
+        elif defect == "n":
+            doc["n"] = draw(st.sampled_from([0, -1, n - 1, 10**12, 1.0, True, "1"]))
+        elif defect == "version":
+            doc["version"] = draw(st.sampled_from([2, 1.0, True]))
+        else:
+            doc["gates"] = []
+        return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+    if defect == "token":
+        tokens = list(re.finditer(r'"angle": ([^}]*)', text))
+        if tokens:
+            match = tokens[draw(st.integers(0, len(tokens) - 1))]
+            token = draw(st.one_of(st.sampled_from(_HOSTILE_TOKENS), _FLOAT_TOKENS))
+            text = text[: match.start(1)] + token + text[match.end(1):]
+        return text
+    if defect == "duplicate-key":
+        return text.replace('"target": ', '"target": 0, "target": ', 1)
+    if defect == "compact":
+        return text.replace(", ", ",", draw(st.integers(1, 3)))
+    if defect == "trailing":
+        return text + draw(st.sampled_from(["\n\n", "\r\n", " \n", " ", "\t", "\n "]))
+    if defect == "bytes":
+        return text.encode()
+    i = draw(st.integers(0, len(text) - 1))
+    if defect == "insert":
+        return text[:i] + draw(st.sampled_from([" ", ",", "}", "{", "0", "-", "\u00e9"])) + text[i:]
+    if defect == "delete":
+        return text[:i] + text[i + 1 :]
+    assert defect == "cut"
+    return text[:i]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circuit_texts(), st.sampled_from([1, 3, 256]))
+def test_parse_json_is_bit_identical_to_the_json_path(text, batch):
+    # the bulk path either yields the json.loads path's gates with the same
+    # angle bits, or declines, and then the same error comes out
+    with float_batches(batch):
+        circuit = _parse_emitted(text)
+        expected = _outcome(_parse_document, text)
+        if circuit is not None:
+            assert _fields(circuit) == expected
+        assert _outcome(parse_json, text) == expected

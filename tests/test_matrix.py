@@ -1,7 +1,6 @@
 """Matrix utilities: validation, Haar sampling, file format."""
 
 import json
-import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -31,18 +30,24 @@ from unisynth.matrix import (
     unitarity_residual,
 )
 
-from conftest import CNOT
+from conftest import (
+    CNOT,
+    INT_DIGIT_LIMIT,
+    LONG_INTEGER,
+    float_batches,
+    needs_int_digit_limit,
+)
 
 
-def test_is_unitary_identity():
+def test_unitarity_residual_identity():
     assert unitarity_residual(np.eye(4)) == 0.0
 
 
-def test_is_unitary_cnot():
+def test_unitarity_residual_cnot():
     assert unitarity_residual(CNOT) == 0.0
 
 
-def test_is_unitary_rejects_scaled_entry():
+def test_unitarity_residual_rejects_scaled_entry():
     # M†M - I has the single nonzero entry |2|^2 - 1
     m = np.eye(4, dtype=complex)
     m[0, 0] = 2.0
@@ -66,7 +71,7 @@ def test_unitarity_residual_is_the_norm_of_gram_minus_identity(m):
         assert np.float64(unitarity_residual(m)).tobytes() == np.float64(expected).tobytes()
 
 
-def test_is_unitary_non_square_raises():
+def test_unitarity_residual_non_square_raises():
     with pytest.raises(DimensionError):
         unitarity_residual(np.ones((2, 3)))
 
@@ -273,6 +278,23 @@ def test_load_rejects_integer_too_large_for_a_float():
         load_matrix(_identity_doc(f"[1{'0' * 400}, 0]"))
 
 
+@needs_int_digit_limit
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'{{"n": {LONG_INTEGER}, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}',
+        _identity_doc(f"[{LONG_INTEGER}, 0]"),
+    ],
+    ids=["n", "entry"],
+)
+def test_load_rejects_an_integer_past_the_digit_limit(text):
+    # int()'s own ValueError told the user to raise the limit in Python
+    assert _load_saved(text) is None
+    message = f"^an integer has more than {INT_DIGIT_LIMIT} digits$"
+    with pytest.raises(MatrixFormatError, match=message):
+        load_matrix(text)
+
+
 def test_load_integer_and_float_entries_match_complex():
     values = [[1, 0], [0, -0.0], [0, 0.0], [-1, 0]]
     text = json.dumps({"n": 1, "matrix": [values[:2], values[2:]]})
@@ -409,12 +431,7 @@ _BATCHES = st.sampled_from([1, 3, 256])
 
 
 def _chunked_outcomes_agree(text, chunk, batch):
-    pattern = matrix._NUMBERS.pattern
-    assert pattern.endswith(b"{1,256}")
-    numbers = re.compile(pattern[: -len(b"{1,256}")] + b"{1,%d}" % batch)
-    with mock.patch.object(matrix, "_CHUNK", chunk), mock.patch.object(
-        matrix, "_NUMBERS", numbers
-    ):
+    with mock.patch.object(matrix, "_CHUNK", chunk), float_batches(batch):
         assert _outcome(load_matrix, text) == _outcome(_load_json, text)
 
 
