@@ -15,7 +15,11 @@ A two-level unitary on states (s1, s2) differing in bit r becomes a rotation
 chain targeting qubit r, controlled on every other qubit, wrapped in X gates
 on the qubits where s1 has a 0 bit so the controls all test for 1.
 ``matrix_to_circuit`` builds each chain from the angles elimination computed
-(``two_level_angles``), forming no 2x2 block.  ``census`` tallies gates.
+(``twolevel._eliminate``), forming no 2x2 block.  It validates its input once,
+through ``matrix.validate_while``: elimination and synthesis run on the
+checked copy while the copy's unitarity residual is computed on a second
+thread, and a failing residual discards their result.  ``census`` tallies
+gates.
 
 X gates are placed through one tracked frame, the set of qubits currently
 under an X.  Before each chain, synthesis flips the qubits where the frame
@@ -43,8 +47,8 @@ from enum import Enum
 
 import numpy as np
 
-from .matrix import num_qubits
-from .twolevel import IDENTITY_ANGLE_TOL, two_level_angles
+from .matrix import num_qubits, validate_while
+from .twolevel import IDENTITY_ANGLE_TOL, _eliminate
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -285,8 +289,15 @@ def matrix_to_circuit(
     Returns:
         A circuit whose matrix equals the input up to float round-off.
     """
-    # two_level_angles validates the matrix; nothing downstream re-checks
-    blocks = two_level_angles(matrix, tol)
+    # the matrix is validated here, once: its residual is computed on a
+    # second thread while _synthesize eliminates and synthesizes the checked
+    # copy, and nothing downstream re-checks it
+    return validate_while(lambda m: _synthesize(m, optimize), matrix, tol)
+
+
+def _synthesize(matrix: np.ndarray, optimize: bool) -> Circuit:
+    # matrix_to_circuit's elimination and synthesis, of a checked copy
+    blocks = _eliminate(matrix)
     n = num_qubits(len(matrix))
     x = [trusted_gate(GateKind.X, q, (), None) for q in range(n)]
     controls = [tuple(q for q in range(n) if q != r) for r in range(n)]

@@ -8,7 +8,9 @@ least significant bit.  For ``n=5`` the state 25 renders as ``"10011"``.
 Contains:
 - ``unitarity_residual`` / ``validate_unitary``: the Frobenius norm of
   ``M†M - I`` and the input check built on it (which also rejects NaN and
-  infinite entries).
+  infinite entries).  ``validate_while`` makes the same check while a
+  caller's work runs on the checked copy: the residual, a dense O(d³)
+  product, is computed on a second thread.
 - ``check_tolerance``: the one rule for a caller-supplied tolerance.
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format.  Text in
@@ -25,10 +27,15 @@ import json
 import math
 import re
 import sys
+import threading
+from collections.abc import Callable
+from typing import TypeVar
 
 import numpy as np
 
 QUBIT_LIMIT = 9
+
+T = TypeVar("T")
 
 
 class MatrixFormatError(ValueError):
@@ -88,6 +95,53 @@ def validate_unitary(matrix: np.ndarray, tol: float | None = None) -> np.ndarray
             below ``tol`` (default ``1e-8 * dim``), a NaN one included.
         ValueError: ``tol`` is NaN, infinite or negative.
     """
+    m = _checked_copy(matrix, tol)
+    _judge(_residual(m), tol, m.shape[0])
+    return m
+
+
+def validate_while(
+    work: Callable[[np.ndarray], T], matrix: np.ndarray, tol: float | None = None
+) -> T:
+    """``work(validate_unitary(matrix, tol))``, with the residual computed
+    on a second thread while ``work`` runs.
+
+    The shape, finiteness and ``tol`` checks run first, on the caller's
+    thread, and raise as ``validate_unitary`` does.  Then
+    ``unitarity_residual`` runs on one thread while ``work`` runs on the
+    caller's, both on the checked copy, which ``work`` must only read.  The
+    thread is always joined, and then an error it raised, or else a
+    ``UnitarityError`` for the residual, replaces ``work``'s result or
+    error: on an input that fails the check ``work`` may fail in any way
+    (``abs()`` overflows on a ``1.7e308+1.7e308j`` entry).  ``work`` runs
+    under the residual's ``np.errstate``, so such an input prints no numpy
+    warning either.  An input that passes has a finite ``M†M``, so its
+    columns' norms are finite, and rotating them overflows nothing.
+    """
+    m = _checked_copy(matrix, tol)
+    outcome: list[float | BaseException] = []
+
+    def residual() -> None:
+        try:
+            outcome.append(_residual(m))
+        except BaseException as exc:  # re-raised on the caller's thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=residual, name="unitarity-residual")
+    thread.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return work(m)
+    finally:
+        thread.join()
+        [value] = outcome
+        if isinstance(value, BaseException):
+            raise value
+        _judge(value, tol, m.shape[0])
+
+
+def _checked_copy(matrix: np.ndarray, tol: float | None) -> np.ndarray:
+    # every check but the residual, on a fresh complex128 copy
     if tol is not None:
         check_tolerance(tol)
     m = np.array(matrix, dtype=np.complex128)
@@ -96,19 +150,29 @@ def validate_unitary(matrix: np.ndarray, tol: float | None = None) -> np.ndarray
     num_qubits(m.shape[0])
     if not np.isfinite(m).all():
         raise UnitarityError("matrix has a NaN or infinite entry")
+    return m
+
+
+def _residual(m: np.ndarray) -> float:
     # finite entries near 1e154 can overflow M†M to inf or NaN; either fails
-    # the test below, which a NaN would pass as ``residual > tol``
+    # _judge, which a NaN would pass as ``residual > tol``.  errstate is per
+    # thread, so this sets it on whichever thread runs it.
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = unitarity_residual(m)
+        return unitarity_residual(m)
+
+
+def _judge(residual: float, tol: float | None, dim: int) -> None:
+    # raise UnitarityError unless the residual is a number at or below tol
     if tol is None:
-        tol = default_unitarity_tol(m.shape[0])
+        tol = default_unitarity_tol(dim)
     if not residual <= tol:
         if math.isfinite(residual):
             detail = f"{residual:.3e} exceeds {tol:.3e}"
         else:
             detail = f"overflows ({residual})"
-        raise UnitarityError(f"matrix is not unitary: Frobenius residual {detail}")
-    return m
+        raise UnitarityError(
+            f"matrix is not unitary: Frobenius residual {detail}"
+        ) from None
 
 
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:

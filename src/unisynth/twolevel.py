@@ -9,9 +9,11 @@ differ in one bit, so every emitted block acts on a pair of basis states one
 bit apart in the original indexing, which is what lets a block become a single
 fully-controlled gate downstream.
 
-One elimination loop, ``two_level_angles``, gives each block as its state
-pair and the ZYZ angles ``(phi, theta, lam, mu)`` it computed (``None`` for
-an exact X block), in application order.  Zeroing ``b`` against ``a`` emits
+One elimination loop gives each block as its state pair and the ZYZ angles
+``(phi, theta, lam, mu)`` it computed (``None`` for an exact X block), in
+application order.  ``two_level_angles`` validates its input and runs it;
+``matrix_to_circuit`` runs it unvalidated (``_eliminate``) on the checked
+copy while ``matrix.validate_while`` computes that copy's residual.  Zeroing ``b`` against ``a`` emits
 ``(0, theta, arg a, arg b)`` with ``theta = atan2(|b|, |a|)``; a pair whose
 states run opposite to its Gray indices emits the X-conjugate,
 ``(0, -theta, -arg a, -arg b)``; the trailing 2x2 corner is factored whole.
@@ -101,10 +103,15 @@ def two_level_angles(
     ``None`` for an exact X block.  A generic input yields ``d*(d-1)/2``
     blocks for ``d = 2**n``; blocks that would be the identity are skipped.
     """
-    work = validate_unitary(matrix, tol)
-    dim = work.shape[0]
+    return _eliminate(validate_unitary(matrix, tol))
+
+
+def _eliminate(matrix: np.ndarray) -> list[tuple[int, int, Angles | None]]:
+    """``two_level_angles`` of a matrix ``validate_unitary`` already returned,
+    unchecked; the matrix is only read."""
+    dim = matrix.shape[0]
     pi = gray_permutation(num_qubits(dim)).tolist()
-    work = work[np.ix_(pi, pi)]
+    work = matrix[np.ix_(pi, pi)]
     # Gray columns (lo, lo + 1) hold states (pi_lo, pi_lo+1): the pair in
     # order, and the sign that turns a Gray-frame block's angles into the
     # emitted block's (-1 where the X-conjugate swaps the states back)

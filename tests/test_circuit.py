@@ -1,6 +1,8 @@
 """Gate/Circuit invariants, angle handling, and two-level gate synthesis."""
 
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from unisynth import (
     zyz_reconstruct,
 )
 from unisynth.circuit import IDENTITY_ANGLE_TOL, ROTATION_KINDS
+from unisynth.matrix import _judge, unitarity_residual
 from unisynth.twolevel import _zyz_angles
 
+from conftest import NOT_UNITARY_N3
 from masked_simulator import r1_matrix, ry_matrix, rz_matrix
 from test_golden import BLOCK_INPUTS, GOLDEN
 
@@ -392,6 +396,60 @@ def test_matrix_to_circuit_tolerance_override():
     assert matrix_to_circuit(m, tol=1e-2).n == 1
 
 
+@pytest.mark.parametrize(
+    "m,detail",
+    [(haar_random_unitary(3, 5), None), *NOT_UNITARY_N3.values()],
+    ids=["haar", *NOT_UNITARY_N3],
+)
+def test_matrix_to_circuit_judges_the_residual_of_its_copy(monkeypatch, m, detail):
+    # the residual judged on the second thread is unitarity_residual of the
+    # checked copy, bit for bit, and a failing one is the only error raised
+    judged = []
+
+    def spy(residual, tol, dim):
+        judged.append(residual)
+        return _judge(residual, tol, dim)
+
+    monkeypatch.setattr("unisynth.matrix._judge", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if detail is None:
+            matrix_to_circuit(m)
+        else:
+            with pytest.raises(UnitarityError) as info:
+                matrix_to_circuit(m)
+            assert str(info.value) == f"matrix is not unitary: Frobenius residual {detail}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = unitarity_residual(np.array(m, dtype=np.complex128))
+    assert [np.float64(r).tobytes() for r in judged] == [np.float64(expected).tobytes()]
+
+
+def test_matrix_to_circuit_raises_an_error_of_the_residual_thread(monkeypatch):
+    # the residual fails only once the compile is done, so the error can
+    # reach the caller only through the join
+    from unisynth import circuit
+
+    compiled = threading.Event()
+    synthesize = circuit._synthesize
+
+    def synthesize_then_signal(m, optimize):
+        try:
+            return synthesize(m, optimize)
+        finally:
+            compiled.set()
+
+    def fail(m):
+        compiled.wait(timeout=10)
+        raise RuntimeError("residual failed")
+
+    monkeypatch.setattr(circuit, "_synthesize", synthesize_then_signal)
+    monkeypatch.setattr("unisynth.matrix.unitarity_residual", fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="residual failed"):
+        matrix_to_circuit(haar_random_unitary(3, 1))
+    assert threading.active_count() == before
+
+
 def _sparse_unitary(n, seed):
     """Block-diagonal unitary (blocks of 2**k, k = 0 gives phases), rows permuted."""
     rng = np.random.default_rng(seed)
@@ -454,7 +512,7 @@ def test_circuit_rejects_out_of_range_gate_repeating_an_earlier_pair():
         Circuit(2, (Gate(GateKind.FCRZ, 0, (1,), 1.0), Gate(GateKind.FCRZ, 0, (4, 1), 1.0)))
 
 
-def test_angles_block_multiplies_out_the_rotation_chain():
+def test_zyz_reconstruct_multiplies_out_the_rotation_chain():
     rng = np.random.default_rng(21)
     for _ in range(200):
         phi, theta, lam, mu = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 4)

@@ -23,7 +23,12 @@ from unisynth import (
 from unisynth.cli import GateCensus, census, main
 from unisynth.emitters import _parse_emitted
 
-from conftest import INT_DIGIT_LIMIT, LONG_INTEGER, needs_int_digit_limit
+from conftest import (
+    INT_DIGIT_LIMIT,
+    LONG_INTEGER,
+    NOT_UNITARY_N3,
+    needs_int_digit_limit,
+)
 
 
 def _src_env():
@@ -382,6 +387,25 @@ def test_overflowing_matrix_is_input_error(tmp_path, capsys, command, matrix):
     assert captured.err.startswith("error: matrix is not unitary: Frobenius residual ")
 
 
+@pytest.mark.parametrize("warning_filter", ["error", "default"])
+@pytest.mark.parametrize(
+    "matrix,detail", NOT_UNITARY_N3.values(), ids=NOT_UNITARY_N3.keys()
+)
+def test_decompose_rejects_a_non_unitary_input_alone(tmp_path, matrix, detail, warning_filter):
+    # the residual is judged after elimination has run on the same input,
+    # and its error is the only output, with no numpy warning from either
+    rows = [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "matrix": rows}), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-W", warning_filter, "-m", "unisynth", "decompose", "-i", str(path)],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: matrix is not unitary: Frobenius residual {detail}\n"
+
+
 def _nan_matrix_file(tmp_path):
     path = tmp_path / "nan.json"
     row = "[[NaN, NaN], [NaN, NaN]]"
@@ -545,6 +569,7 @@ def test_non_utf8_file_is_input_error_naming_the_file(
     ids=["decompose-qsharp", "decompose-qasm3", "decompose-json", "verify"],
 )
 def test_each_command_validates_the_matrix_once(matrix_file, tmp_path, monkeypatch, argv):
+    import unisynth.circuit
     import unisynth.cli
     import unisynth.matrix
     import unisynth.twolevel
@@ -558,15 +583,21 @@ def test_each_command_validates_the_matrix_once(matrix_file, tmp_path, monkeypat
         circuit_path.write_text(emit_json(matrix_to_circuit(a)), encoding="utf-8")
         argv += ["-c", str(circuit_path)]
     original = unisynth.matrix.validate_unitary
+    original_while = unisynth.matrix.validate_while
     calls = []
 
     def counted(matrix, tol=None):
         calls.append(tol)
         return original(matrix, tol)
 
-    # raising=False: the count holds whichever of these modules import the name
-    for module in (unisynth.matrix, unisynth.twolevel, unisynth.cli):
+    def counted_while(work, matrix, tol=None):
+        calls.append(tol)
+        return original_while(work, matrix, tol)
+
+    # raising=False: the count holds whichever of these modules import the names
+    for module in (unisynth.matrix, unisynth.twolevel, unisynth.circuit, unisynth.cli):
         monkeypatch.setattr(module, "validate_unitary", counted, raising=False)
+        monkeypatch.setattr(module, "validate_while", counted_while, raising=False)
     assert main(argv) == 0
     # once, at the default tolerance: verify's --tol is the pass threshold
     assert calls == [None]

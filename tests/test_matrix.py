@@ -28,6 +28,7 @@ from unisynth.matrix import (
     _load_saved,
     default_unitarity_tol,
     unitarity_residual,
+    validate_while,
 )
 
 from conftest import (
@@ -87,6 +88,54 @@ def test_validate_unitary_returns_complex_copy():
 def test_validate_unitary_rejects_non_power_of_two():
     with pytest.raises(DimensionError):
         validate_unitary(np.eye(3))
+
+
+def test_validate_while_runs_work_on_the_checked_copy():
+    m = haar_random_unitary(3, 4)
+    seen = []
+    out = validate_while(lambda copy: seen.append(copy) or "done", m)
+    assert out == "done"
+    [copy] = seen
+    assert copy is not m
+    assert copy.tobytes() == validate_unitary(m).tobytes()
+
+
+def test_validate_while_raises_the_error_of_work_on_a_unitary_input():
+    def work(m):
+        raise KeyError("work failed")
+
+    with pytest.raises(KeyError, match="work failed"):
+        validate_while(work, np.eye(4))
+
+
+def test_validate_while_unitarity_error_wins_over_the_error_of_work():
+    def work(m):
+        raise OverflowError("work failed")
+
+    with pytest.raises(UnitarityError, match=r"residual 2\.000e\+00 exceeds"):
+        validate_while(work, np.eye(4) * np.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "m,tol,error",
+    [
+        (np.ones((2, 3)), None, DimensionError),
+        (np.eye(3), None, DimensionError),
+        (np.full((2, 2), np.nan), None, UnitarityError),
+        (np.eye(2), float("nan"), ValueError),
+    ],
+    ids=["non-square", "non-power-of-two", "nan", "nan-tol"],
+)
+def test_validate_while_checks_the_rest_before_starting_anything(monkeypatch, m, tol, error):
+    def never(*args, **kwargs):
+        raise AssertionError("started before the input was checked")
+
+    monkeypatch.setattr(matrix.threading, "Thread", never)
+    with pytest.raises(error) as info:
+        validate_while(never, m, tol)
+    with pytest.raises(error) as expected:
+        validate_unitary(m, tol)
+    assert str(info.value) == str(expected.value)
 
 
 def test_default_unitarity_tol_scales_with_dimension():
