@@ -15,11 +15,9 @@ A two-level unitary on states (s1, s2) differing in bit r becomes a rotation
 chain targeting qubit r, controlled on every other qubit, wrapped in X gates
 on the qubits where s1 has a 0 bit so the controls all test for 1.
 ``matrix_to_circuit`` builds each chain from the angles elimination computed
-(``twolevel._eliminate``), forming no 2x2 block.  It validates its input once,
-through ``matrix.validate_while``: elimination and synthesis run on the
-checked copy while the copy's unitarity residual is computed on a second
-thread, and a failing residual discards their result.  ``census`` tallies
-gates.
+(``twolevel._eliminate``), forming no 2x2 block, while ``matrix.validate_while``
+computes the input's unitarity residual on a second thread.  ``census``
+tallies gates.
 
 X gates are placed through one tracked frame, the set of qubits currently
 under an X.  Before each chain, synthesis flips the qubits where the frame

@@ -8,9 +8,8 @@ least significant bit.  For ``n=5`` the state 25 renders as ``"10011"``.
 Contains:
 - ``unitarity_residual`` / ``validate_unitary``: the Frobenius norm of
   ``M†M - I`` and the input check built on it (which also rejects NaN and
-  infinite entries).  ``validate_while`` makes the same check while a
-  caller's work runs on the checked copy: the residual, a dense O(d³)
-  product, is computed on a second thread.
+  infinite entries).  ``validate_while`` computes the residual, a dense
+  O(d³) product, on a second thread while the caller's work runs.
 - ``check_tolerance``: the one rule for a caller-supplied tolerance.
 - ``haar_random_unitary``: seeded Haar sampling (Ginibre + QR).
 - ``save_matrix`` / ``load_matrix``: the JSON matrix file format.  Text in
@@ -104,19 +103,15 @@ def validate_while(
     work: Callable[[np.ndarray], T], matrix: np.ndarray, tol: float | None = None
 ) -> T:
     """``work(validate_unitary(matrix, tol))``, with the residual computed
-    on a second thread while ``work`` runs.
+    on a second thread while ``work`` reads the checked copy.
 
-    The shape, finiteness and ``tol`` checks run first, on the caller's
-    thread, and raise as ``validate_unitary`` does.  Then
-    ``unitarity_residual`` runs on one thread while ``work`` runs on the
-    caller's, both on the checked copy, which ``work`` must only read.  The
-    thread is always joined, and then an error it raised, or else a
-    ``UnitarityError`` for the residual, replaces ``work``'s result or
-    error: on an input that fails the check ``work`` may fail in any way
-    (``abs()`` overflows on a ``1.7e308+1.7e308j`` entry).  ``work`` runs
-    under the residual's ``np.errstate``, so such an input prints no numpy
-    warning either.  An input that passes has a finite ``M†M``, so its
-    columns' norms are finite, and rotating them overflows nothing.
+    The other checks run first and raise as ``validate_unitary`` does.  The
+    thread is always joined; then an error it raised, or else a failing
+    residual's ``UnitarityError``, replaces ``work``'s result or error, which
+    on such an input may be anything (``abs()`` overflows on a
+    ``1.7e308+1.7e308j`` entry).  ``work`` runs under the residual's
+    ``np.errstate``, so it prints no numpy warning either; an input that
+    passes has a finite ``M†M``, and rotating its columns overflows nothing.
     """
     m = _checked_copy(matrix, tol)
     outcome: list[float | BaseException] = []

@@ -9,14 +9,15 @@ differ in one bit, so every emitted block acts on a pair of basis states one
 bit apart in the original indexing, which is what lets a block become a single
 fully-controlled gate downstream.
 
-One elimination loop gives each block as its state pair and the ZYZ angles
-``(phi, theta, lam, mu)`` it computed (``None`` for an exact X block), in
-application order.  ``two_level_angles`` validates its input and runs it;
-``matrix_to_circuit`` runs it unvalidated (``_eliminate``) on the checked
-copy while ``matrix.validate_while`` computes that copy's residual.  Zeroing ``b`` against ``a`` emits
-``(0, theta, arg a, arg b)`` with ``theta = atan2(|b|, |a|)``; a pair whose
-states run opposite to its Gray indices emits the X-conjugate,
-``(0, -theta, -arg a, -arg b)``; the trailing 2x2 corner is factored whole.
+One elimination loop, ``_eliminate``, gives each block as its state pair and
+the ZYZ angles ``(phi, theta, lam, mu)`` it computed (``None`` for an exact X
+block), in application order.  ``two_level_angles`` validates its input and
+then runs it; ``matrix_to_circuit`` runs it on the checked copy while
+``matrix.validate_while`` computes that copy's residual.  Zeroing ``b``
+against ``a`` emits ``(0, theta, arg a, arg b)`` with
+``theta = atan2(|b|, |a|)``; a pair whose states run opposite to its Gray
+indices emits the X-conjugate, ``(0, -theta, -arg a, -arg b)``; the trailing
+2x2 corner is factored whole.
 Two rules decide every block, the corner's included: an entry at or below
 ``ZERO_THRESHOLD`` is an exact zero, and an angle or phase at or below
 ``IDENTITY_ANGLE_TOL`` is the identity, so no block is all identity links.

@@ -22,7 +22,7 @@ from unisynth import (
     verify,
     zyz_reconstruct,
 )
-from unisynth.circuit import IDENTITY_ANGLE_TOL, ROTATION_KINDS
+from unisynth.circuit import IDENTITY_ANGLE_TOL, ROTATION_KINDS, _synthesize
 from unisynth.matrix import _judge, unitarity_residual
 from unisynth.twolevel import _zyz_angles
 
@@ -427,14 +427,11 @@ def test_matrix_to_circuit_judges_the_residual_of_its_copy(monkeypatch, m, detai
 def test_matrix_to_circuit_raises_an_error_of_the_residual_thread(monkeypatch):
     # the residual fails only once the compile is done, so the error can
     # reach the caller only through the join
-    from unisynth import circuit
-
     compiled = threading.Event()
-    synthesize = circuit._synthesize
 
     def synthesize_then_signal(m, optimize):
         try:
-            return synthesize(m, optimize)
+            return _synthesize(m, optimize)
         finally:
             compiled.set()
 
@@ -442,7 +439,7 @@ def test_matrix_to_circuit_raises_an_error_of_the_residual_thread(monkeypatch):
         compiled.wait(timeout=10)
         raise RuntimeError("residual failed")
 
-    monkeypatch.setattr(circuit, "_synthesize", synthesize_then_signal)
+    monkeypatch.setattr("unisynth.circuit._synthesize", synthesize_then_signal)
     monkeypatch.setattr("unisynth.matrix.unitarity_residual", fail)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="residual failed"):
