@@ -38,6 +38,7 @@ def pytest_runtest_call(item):
         pytest.fail(f"test left threads running: {names}", pytrace=False)
     return result
 
+
 # CPython's int() refuses a decimal text with more digits than this limit,
 # which json.loads meets on a long JSON integer; some 3.10 releases have none
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
