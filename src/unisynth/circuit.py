@@ -11,28 +11,34 @@ a two-level block factors with real rotation matrices in the middle:
 Angles are stored normalized: Ry/Rz to (-2*pi, 2*pi] (periodic modulo 4*pi)
 and R1 to (-pi, pi] (periodic modulo 2*pi).
 
+A ``Circuit`` is stored as columns: a table of the distinct wirings (kind,
+target, controls) its gates use, and per gate an index into that table and
+an angle (NaN for X and FCX).  Qubit ranges are checked once per wiring.
+``Gate`` is the element type: ``Circuit(n, gates)`` takes ``Gate`` objects,
+and ``Circuit.gates`` builds them on access.  ``census`` tallies gates by
+kind from the columns.
+
 A two-level unitary on states (s1, s2) differing in bit r becomes a rotation
 chain targeting qubit r, controlled on every other qubit, wrapped in X gates
 on the qubits where s1 has a 0 bit so the controls all test for 1.
-``matrix_to_circuit`` builds each chain from the angles elimination computed
-(``twolevel._eliminate``), forming no 2x2 block, while ``matrix.validate_while``
-computes the input's unitarity residual on a second thread.  ``census``
-tallies gates.
+``matrix_to_circuit`` builds every chain at once with numpy from the block
+arrays elimination recorded (``twolevel._eliminate``), forming no 2x2 block
+and no ``Gate``, while ``matrix.validate_while`` computes the input's
+unitarity residual on a second thread.
 
 X gates are placed through one tracked frame, the set of qubits currently
 under an X.  Before each chain, synthesis flips the qubits where the frame
-differs from the chain's wrap, and it empties the frame at the end.
-Consecutive Gray-adjacent blocks share most of their wraps, so most X gates
-are never emitted; ``optimize=False`` empties the frame after every block
-instead, which wraps each block in its own X gates.  Synthesis leaves out
-rotations within ``IDENTITY_ANGLE_TOL`` of the identity, the tolerance by which
-elimination (``twolevel.py``) already skips whole identity blocks, so every
-block it is given emits a non-empty chain.
-
-Each call builds one X gate per qubit and one control tuple and exact-X gate
-per target, which its blocks share (``Gate`` is frozen), and builds every
-gate through ``trusted_gate`` without re-running ``Gate``'s checks, whose
-invariants its fields hold by construction.
+differs from the chain's wrap, those leaving the frame from high to low and
+then those entering it from low to high, and it empties the frame at the
+end.  Consecutive Gray-adjacent blocks share most of their wraps, so most X
+gates are never emitted; ``optimize=False`` empties the frame after every
+block instead, which wraps each block in its own X gates.  Synthesis leaves
+out rotations within ``IDENTITY_ANGLE_TOL`` of the identity, the tolerance
+by which elimination (``twolevel.py``) already skips whole identity blocks,
+so every block it is given emits a non-empty chain.  Each link's angle is
+normalized by ``normalize_angles``, which equals ``normalize_angle`` bit for
+bit, so the chains equal those of a gate-by-gate synthesis (the reference
+synthesizer ``tests/reference_synthesis.py``), angle bits included.
 """
 
 from __future__ import annotations
@@ -40,13 +46,14 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
 from .matrix import num_qubits, validate_while
-from .twolevel import IDENTITY_ANGLE_TOL, _eliminate
+from .twolevel import EXACT_X, IDENTITY_ANGLE_TOL, Blocks, _eliminate, gray_permutation
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -69,6 +76,22 @@ def normalize_angle(angle: float, period: float) -> float:
     if reduced == -period / 2.0:
         reduced = period / 2.0
     return reduced
+
+
+def normalize_angles(angles: np.ndarray, period: float | np.ndarray) -> np.ndarray:
+    """``normalize_angle`` of each entry, bit for bit, signed zeros included.
+
+    ``np.fmod`` is exact, as ``math.remainder`` is, and leaves a value of the
+    angle's sign below the period; moving it by one period into
+    [-period/2, period/2] is exact too (Sterbenz), so both give the exact
+    remainder, and a zero keeps the angle's sign in both.  ``period`` may be
+    an array, one period per angle.
+    """
+    half = period / 2.0
+    reduced = np.fmod(angles, period)
+    reduced = np.where(reduced > half, reduced - period, reduced)
+    reduced = np.where(reduced < -half, reduced + period, reduced)
+    return np.where(reduced == -half, half, reduced)
 
 
 def _qubit(index: object) -> int:
@@ -154,49 +177,121 @@ _set_angle = Gate.angle.__set__
 _new = object.__new__
 
 
-def trusted_gate(
-    kind: GateKind, target: int, controls: tuple[int, ...], angle: float | None
-) -> Gate:
-    """A ``Gate`` from fields already checked and normalized, unchecked.
-
-    The caller guarantees what ``Gate`` and ``check_angle`` would make of
-    them: a non-negative int target, sorted distinct non-negative int
-    controls without the target, and a normalized finite float angle for
-    rotation kinds (``None`` otherwise).
-    """
+def _with_angle(wiring: Gate, angle: float) -> Gate:
+    # a Gate of a checked rotation wiring with a normalized finite angle,
+    # built without re-running Gate's checks, which it would pass
     gate = _new(Gate)
-    _set_kind(gate, kind)
-    _set_target(gate, target)
-    _set_controls(gate, controls)
+    _set_kind(gate, wiring.kind)
+    _set_target(gate, wiring.target)
+    _set_controls(gate, wiring.controls)
     _set_angle(gate, angle)
     return gate
 
 
-@dataclass(frozen=True)
+Wiring = tuple[GateKind, int, tuple[int, ...]]
+
+
 class Circuit:
-    """An ordered gate sequence on ``n`` qubits; gates apply left to right."""
+    """An ordered gate sequence on ``n`` qubits; gates apply left to right.
 
-    n: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    A circuit is stored as columns: ``wirings``, the distinct
+    ``(kind, target, controls)`` its gates use; ``wiring_ids``, each gate's
+    index into ``wirings``; and ``angles``, each gate's angle, NaN for X and
+    FCX.  Both arrays are read-only.  ``Circuit(n, gates)`` takes ``Gate``
+    objects, and its ``gates`` are those objects; a circuit built as columns
+    (by synthesis or ``parse_json``) builds its ``gates`` on access.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("n", "wirings", "wiring_ids", "angles", "_gates")
+
+    def __init__(self, n: int, gates: Iterable[Gate] = ()) -> None:
+        gates = tuple(gates)
+        table: dict = {}
+        ids = [
+            table.setdefault((gate.kind, gate.target, gate.controls), len(table))
+            for gate in gates
+        ]
+        # numpy reads an X gate's angle None as NaN
+        angles = np.array([gate.angle for gate in gates], dtype=np.float64)
+        self._assign(n, tuple(table), np.array(ids, dtype=np.intp), angles, gates)
+
+    @classmethod
+    def _of_columns(
+        cls, n: int, wirings: tuple[Wiring, ...], wiring_ids: np.ndarray, angles: np.ndarray
+    ) -> Circuit:
+        """A circuit of distinct wirings ``Gate`` accepts, with each rotation's
+        angle normalized and finite; only ``n`` and the wirings' qubits are
+        checked against each other."""
+        circuit = _new(cls)
+        circuit._assign(n, wirings, wiring_ids, angles, None)
+        return circuit
+
+    def _assign(
+        self,
+        n: int,
+        wirings: tuple[Wiring, ...],
+        wiring_ids: np.ndarray,
+        angles: np.ndarray,
+        gates: tuple[Gate, ...] | None,
+    ) -> None:
         # exactly an int, not bool, not float: parse_json checks "n" only here
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"qubit count must be a positive integer, got {self.n!r}")
-        gates = tuple(self.gates)
-        for gate in gates:
-            controls = gate.controls
+        if type(n) is not int or n < 1:
+            raise ValueError(f"qubit count must be a positive integer, got {n!r}")
+        # one check per wiring, in order of first use
+        for _, target, controls in wirings:
             # controls are sorted, so the last one is the largest
-            if gate.target >= self.n or (controls and controls[-1] >= self.n):
-                top = max((gate.target, *controls))
-                raise ValueError(f"gate touches qubit {top} but circuit has n={self.n}")
-        object.__setattr__(self, "gates", gates)
+            if target >= n or (controls and controls[-1] >= n):
+                top = max((target, *controls))
+                raise ValueError(f"gate touches qubit {top} but circuit has n={n}")
+        wiring_ids.flags.writeable = False
+        angles.flags.writeable = False
+        for name, value in zip(self.__slots__, (n, wirings, wiring_ids, angles, gates)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates; built on access, sharing each X or FCX wiring's gate,
+        unless they were given."""
+        if self._gates is not None:
+            return self._gates
+        wirings = [
+            Gate(kind, target, controls, 0.0 if kind in ROTATION_KINDS else None)
+            for kind, target, controls in self.wirings
+        ]
+        # an angle that is not equal to itself is NaN: an X or FCX gate
+        return tuple(
+            wiring if angle != angle else _with_angle(wiring, angle)
+            for wiring, angle in zip(
+                map(wirings.__getitem__, self.wiring_ids.tolist()), self.angles.tolist()
+            )
+        )
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.wiring_ids)
 
     def __iter__(self):
         return iter(self.gates)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        if self.n != other.n or len(self) != len(other):
+            return False
+        # other's wirings as indices into this table, -1 where it has none
+        index = {wiring: i for i, wiring in enumerate(self.wirings)}
+        ids = np.array([index.get(w, -1) for w in other.wirings], dtype=np.intp)
+        return np.array_equal(ids[other.wiring_ids], self.wiring_ids) and np.array_equal(
+            self.angles, other.angles, equal_nan=True
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gates))
+
+    def __repr__(self) -> str:
+        return f"Circuit(n={self.n!r}, gates={self.gates!r})"
 
 
 @dataclass(frozen=True)
@@ -222,9 +317,10 @@ class GateCensus:
 
 def census(circuit: Circuit) -> GateCensus:
     """Count gates by kind (X and FCX tallied separately)."""
-    counts = {kind: 0 for kind in GateKind}
-    for gate in circuit.gates:
-        counts[gate.kind] += 1
+    counts = dict.fromkeys(GateKind, 0)
+    per_wiring = np.bincount(circuit.wiring_ids, minlength=len(circuit.wirings))
+    for (kind, _, _), count in zip(circuit.wirings, per_wiring.tolist()):
+        counts[kind] += count
     return GateCensus(
         n=circuit.n,
         x=counts[GateKind.X],
@@ -233,44 +329,6 @@ def census(circuit: Circuit) -> GateCensus:
         r1=counts[GateKind.FCR1],
         fcx=counts[GateKind.FCX],
     )
-
-
-def _chain(
-    r: int, controls: tuple[int, ...], swap: Gate, angles: tuple | None
-) -> list[Gate]:
-    # one block's chain on target r under ``controls``: Rz, Ry, Rz, R1 with
-    # identity-angle links left out, or for ``angles`` None (exactly X) the
-    # ``swap`` gate, an FCX or plain X at n = 1
-    if angles is None:
-        return [swap]
-    phi, theta, lam, mu = angles
-    chain = []
-    for kind, angle, period in (
-        (GateKind.FCRZ, lam - mu, FOUR_PI),
-        (GateKind.FCRY, 2.0 * theta, FOUR_PI),
-        (GateKind.FCRZ, lam + mu, FOUR_PI),
-        (GateKind.FCR1, phi, TWO_PI),
-    ):
-        angle = normalize_angle(angle, period)
-        if abs(angle) > IDENTITY_ANGLE_TOL:
-            chain.append(trusted_gate(kind, r, controls, angle))
-    return chain
-
-
-def _move_frame(gates: list[Gate], x: list[Gate], frame: int, new: int) -> int:
-    # X the qubits whose bit differs between the frames, those leaving high
-    # to low, then those entering low to high, and return the new frame
-    leaving = frame & ~new
-    while leaving:
-        q = leaving.bit_length() - 1
-        gates.append(x[q])
-        leaving ^= 1 << q
-    entering = new & ~frame
-    while entering:
-        low = entering & -entering
-        gates.append(x[low.bit_length() - 1])
-        entering ^= low
-    return new
 
 
 def matrix_to_circuit(
@@ -295,24 +353,82 @@ def matrix_to_circuit(
 
 def _synthesize(matrix: np.ndarray, optimize: bool) -> Circuit:
     # matrix_to_circuit's elimination and synthesis, of a checked copy
-    blocks = _eliminate(matrix)
-    n = num_qubits(len(matrix))
-    x = [trusted_gate(GateKind.X, q, (), None) for q in range(n)]
-    controls = [tuple(q for q in range(n) if q != r) for r in range(n)]
-    swap_kind = GateKind.FCX if n > 1 else GateKind.X
-    swaps = [trusted_gate(swap_kind, r, controls[r], None) for r in range(n)]
-    full = (1 << n) - 1
-    gates: list[Gate] = []
-    # bit q is set while qubit q is under an X
-    frame = 0
-    for s1, s2, angles in blocks:
-        r = (s1 ^ s2).bit_length() - 1
-        chain = _chain(r, controls[r], swaps[r], angles)
-        # s2 is s1 with bit r set, so its 0 bits are the controls s1 leaves
-        # at 0: X on each of them makes every control test for 1
-        frame = _move_frame(gates, x, frame, full & ~s2)
-        gates.extend(chain)
-        if not optimize:
-            frame = _move_frame(gates, x, frame, 0)
-    _move_frame(gates, x, frame, 0)
-    return Circuit(n, tuple(gates))
+    return _chains(num_qubits(len(matrix)), _eliminate(matrix), optimize)
+
+
+# a block's chain, its links in order: Rz(lam - mu), Ry(2 theta), Rz(lam + mu)
+# and R1(phi), each with its period and its row of _chains's wiring table
+_LINK_PERIODS = np.array([FOUR_PI, FOUR_PI, FOUR_PI, TWO_PI])
+_LINK_ROWS = np.array([1, 2, 1, 3])
+
+
+def _chains(n: int, blocks: Blocks, optimize: bool) -> Circuit:
+    """Every block's chain and X moves, built at once from the block arrays.
+
+    Each block gets 3n + 4 gate slots, in order: an X on each qubit that
+    leaves the frame (high to low), on each that enters it (low to high),
+    the four chain links, and an X on each qubit the block's closing move
+    clears (high to low).  The filled slots, read row by row, are the gates.
+    """
+    pair, angles, branch = blocks
+    pi = gray_permutation(n)
+    first = pi[pair]
+    second = pi[pair + 1]
+    target = np.frexp(first ^ second)[1].astype(np.intp) - 1
+    # the larger state's 0 bits are the controls the smaller one leaves at 0:
+    # X on each makes every control test for 1.  Bit q of a frame is set
+    # while qubit q is under an X.
+    wrap = ((1 << n) - 1) & ~(first | second)
+    start = np.zeros_like(wrap)
+    close = np.zeros_like(wrap)
+    if optimize:
+        # each block's moves start from the frame the one before left, and
+        # only the last block's closing move empties it
+        start[1:] = wrap[:-1]
+        close[-1:] = wrap[-1:]
+    else:
+        close = wrap
+    down = np.arange(n - 1, -1, -1)
+    up = np.arange(n)
+
+    phi, theta, lam, mu = angles.T
+    links = np.stack([lam - mu, 2.0 * theta, lam + mu, phi], axis=1)
+    links = normalize_angles(links, _LINK_PERIODS)
+    # an exact X block's angles are NaN, so it keeps no link but its swap
+    keep = np.abs(links) > IDENTITY_ANGLE_TOL
+    swap = branch == EXACT_X
+    keep[:, 0] |= swap
+
+    slots = np.concatenate(
+        [_has(start & ~wrap, down), _has(wrap & ~start, up), keep, _has(close, down)],
+        axis=1,
+    )
+    block, slot = np.divmod(np.flatnonzero(slots), slots.shape[1])
+
+    # the wiring table: rows of n wirings, X, FCRZ, FCRY, FCR1 and FCX, one
+    # per target; at n = 1 the swap is the plain X
+    table = [(GateKind.X, q, ()) for q in range(n)] + [
+        (kind, q, tuple(c for c in range(n) if c != q))
+        for kind in (GateKind.FCRZ, GateKind.FCRY, GateKind.FCR1, GateKind.FCX)
+        for q in range(n)
+    ]
+    link_wiring = _LINK_ROWS * n + target[:, None]
+    link_wiring[swap, 0] = (4 * n if n > 1 else 0) + target[swap]
+    # an X slot's wiring is its qubit's
+    wiring = np.concatenate([down, up, [0] * 4, down])[slot]
+    link = slot - 2 * n
+    is_link = (link >= 0) & (link < 4)
+    rows = block[is_link]
+    wiring[is_link] = link_wiring[rows, link[is_link]]
+    gate_angles = np.full(len(slot), np.nan)
+    gate_angles[is_link] = links[rows, link[is_link]]
+
+    used = np.bincount(wiring, minlength=len(table)) > 0
+    renumber = np.cumsum(used) - 1
+    wirings = tuple(w for w, u in zip(table, used.tolist()) if u)
+    return Circuit._of_columns(n, wirings, renumber[wiring], gate_angles)
+
+
+def _has(frames: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+    # whether each frame holds each qubit, one row per frame
+    return ((frames[:, None] >> qubits) & 1).astype(bool)

@@ -9,26 +9,28 @@ bit-identically via shortest-repr decimal text.
 Every backend relies on one invariant: a statement's text depends only on
 the gate's wiring (kind, target, controls) and its angle, with the angle's
 text appearing once.  So each emitter renders the text around the angle
-once per distinct wiring and, per gate, formats only the angle between
-those two fragments.  ``parse_json`` reads text in ``emit_json``'s exact
-layout back the same way: it checks each distinct entry head through
-``Gate`` once and converts all angles in one ``np.fromstring`` call.  Any
-other layout goes through ``json.loads``, and the first gate of each
-distinct wiring of a document is built through ``Gate``, which checks
-every field, and only the angle of each later gate of that wiring is
-checked.  Both give the same gates, with the same angle bits.
+once per entry of the circuit's wiring table and, per gate, formats only
+the angle between those two fragments, reading the circuit's columns.
+``parse_json`` builds those columns directly, with no ``Gate`` per gate.
+Text in ``emit_json``'s exact layout is read in bulk: each distinct entry
+head is checked through ``Gate`` once and all angles are converted in one
+``np.fromstring`` call.  Any other layout goes through ``json.loads``, and
+the first gate of each distinct wiring of a document is checked through
+``Gate``, which checks every field, and only the angle of each later gate
+of that wiring is checked.  Both give the same columns, with the same angle
+bits.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .circuit import FOUR_PI, ROTATION_KINDS, TWO_PI, Circuit, Gate, GateKind
-from .circuit import check_angle, normalize_angle, trusted_gate
+from .circuit import check_angle, normalize_angles
 from .matrix import decode_json, parse_floats
 
 JSON_IR_VERSION = 1
@@ -67,7 +69,7 @@ class CircuitFormatError(ValueError):
 
 
 def _statements(
-    gates: Iterable[Gate],
+    circuit: Circuit,
     statement: Callable[[GateKind, int, tuple[int, ...], str], str],
     negate: bool,
 ) -> list[str]:
@@ -77,29 +79,32 @@ def _statements(
     Angles are written as their shortest repr, which round-trips exactly.
     With ``negate``, Ry and Rz angles are emitted negated.
     """
-    angle_text = float.__repr__
-    fragments: dict = {}
-    out: list[str] = []
-    append = out.append
-    for gate in gates:
-        angle = gate.angle
-        key = (gate.kind, gate.target, gate.controls)
-        try:
-            fragment = fragments[key]
-        except KeyError:
-            if angle is None:
-                fragment = statement(*key, "")
-            else:
-                text = statement(*key, _ANGLE_SLOT)
-                head, _, tail = text.partition(_ANGLE_SLOT)
-                fragment = (head, tail, negate and gate.kind is not GateKind.FCR1)
-            fragments[key] = fragment
-        if angle is None:
-            append(fragment)
+    heads = []
+    tails = []
+    flips = []
+    for kind, target, controls in circuit.wirings:
+        if kind in ROTATION_KINDS:
+            text = statement(kind, target, controls, _ANGLE_SLOT)
+            head, _, tail = text.partition(_ANGLE_SLOT)
         else:
-            head, tail, flip = fragment
-            append(head + angle_text(-angle if flip else angle) + tail)
-    return out
+            # an X or FCX statement is whole, and its NaN angle is not written
+            head, tail = statement(kind, target, controls, ""), None
+        heads.append(head)
+        tails.append(tail)
+        flips.append(negate and kind in (GateKind.FCRY, GateKind.FCRZ))
+    ids = circuit.wiring_ids
+    angles = circuit.angles
+    if any(flips):
+        angles = np.where(np.array(flips)[ids], -angles, angles)
+    ids = ids.tolist()
+    return [
+        head if tail is None else head + angle_text + tail
+        for head, tail, angle_text in zip(
+            map(heads.__getitem__, ids),
+            map(tails.__getitem__, ids),
+            map(float.__repr__, angles.tolist()),
+        )
+    ]
 
 
 def check_operation_name(name: str) -> None:
@@ -123,7 +128,7 @@ def emit_qsharp(circuit: Circuit, operation_name: str = "ApplyUnitary") -> str:
         f"// Circuit on {circuit.n} qubit(s); {_QUBIT_ORDER_NOTE}.",
         f"operation {operation_name}(qs : Qubit[]) : Unit is Adj + Ctl {{",
     ]
-    lines += _statements(circuit.gates, _qsharp_statement, True)
+    lines += _statements(circuit, _qsharp_statement, True)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -151,7 +156,7 @@ def emit_qasm3(circuit: Circuit) -> str:
         f"// {_QUBIT_ORDER_NOTE}",
         f"qubit[{circuit.n}] q;",
     ]
-    lines += _statements(circuit.gates, _qasm3_statement, True)
+    lines += _statements(circuit, _qasm3_statement, True)
     return "\n".join(lines) + "\n"
 
 
@@ -177,7 +182,7 @@ def emit_json(circuit: Circuit) -> str:
     The text equals ``json.dumps`` of the document
     ``{"version", "n", "gates": [{"kind", "target", "controls"[, "angle"]}]}``.
     """
-    entries = _statements(circuit.gates, _json_entry, False)
+    entries = _statements(circuit, _json_entry, False)
     envelope = json.dumps({"version": JSON_IR_VERSION, "n": circuit.n, "gates": []})
     # the envelope ends in the empty gate list "[]}"
     return envelope[:-2] + ", ".join(entries) + envelope[-2:]
@@ -228,10 +233,10 @@ def _parse_emitted(text: str | bytes) -> Circuit | None:
 
     The text may end in one newline, as ``decompose --backend json`` writes
     it.  The gate list is split at "}, {" and each entry partitioned at its
-    angle key.  ``_emitted_wirings`` checks each distinct head once; X and
-    FCX entries reuse its gate.  The angles are converted by one
+    angle key.  Each distinct (head, angle key) is one wiring, which
+    ``_emitted_wirings`` checks once.  The angles are converted by one
     ``parse_floats`` call and normalized as ``check_angle`` normalizes
-    them, so the result has the gates and bits the ``json.loads`` path
+    them, so the result has the columns and bits the ``json.loads`` path
     returns.  Text this does not prove valid, an invalid one included, gets
     None, and that path raises its error with the gate's index.
     """
@@ -246,7 +251,13 @@ def _parse_emitted(text: str | bytes) -> Circuit | None:
         entry.partition(_ANGLE_KEY)
         for entry in text[envelope.end() : stop].split(_GATE_BREAK)
     ]
-    wirings = _emitted_wirings({(head, key) for head, key, _ in entries})
+    # each (head, angle key) is numbered in order of first use
+    index: dict = {}
+    ids = np.array(
+        [index.setdefault((head, key), len(index)) for head, key, _ in entries],
+        dtype=np.intp,
+    )
+    wirings = _emitted_wirings(list(index))
     if wirings is None:
         return None
     tokens = [token for _, key, token in entries if key]
@@ -258,52 +269,45 @@ def _parse_emitted(text: str | bytes) -> Circuit | None:
     # a token holding a comma reads as two values
     if values is None or values.size != len(tokens) or not np.isfinite(values).all():
         return None
-    angles = iter(values.tolist())
-    gates = [
-        gate
-        if period is None
-        else trusted_gate(
-            gate.kind, gate.target, gate.controls, normalize_angle(next(angles), period)
-        )
-        for gate, period in [wirings[head, key] for head, key, _ in entries]
-    ]
+    # an entry has an angle key exactly when its wiring is a rotation's
+    rotation = np.array([bool(key) for _, key in index])[ids]
+    periods = [TWO_PI if kind is GateKind.FCR1 else FOUR_PI for kind, _, _ in wirings]
+    angles = np.full(len(ids), np.nan)
+    angles[rotation] = normalize_angles(values, np.array(periods)[ids[rotation]])
     try:
-        return Circuit(n, tuple(gates))
+        return Circuit._of_columns(n, wirings, ids, angles)
     except ValueError:
         return None
 
 
-def _emitted_wirings(heads: set[tuple[str, str]]) -> dict | None:
-    """Each (head, angle key) pair's gate and, for a rotation, angle period.
+def _emitted_wirings(heads: list[tuple[str, str]]) -> tuple | None:
+    """Each (head, angle key) pair's wiring, in order.
 
     The key is "" for an entry with no angle, and a rotation's head is read
     with the angle 0.0.  One ``json.loads`` decodes every head, and each
     goes through ``_parse_gate``, so ``Gate`` checks every field of every
     wiring.  None unless ``Gate`` takes each head and each is the text
-    ``_json_entry`` writes for its gate, which one ``json.dumps`` checks.
+    ``_json_entry`` writes for its gate, which one ``json.dumps`` checks;
+    so the wirings are distinct, as the heads are.
     """
-    heads = list(heads)
     text = "[" + ", ".join(
         [f"{{{head}{key}0.0}}" if key else f"{{{head}}}" for head, key in heads]
     ) + "]"
     seen: dict = {}
+    table: dict = {}
     try:
-        gates = [
-            _parse_gate(doc, 0, seen) for doc in decode_json(text, CircuitFormatError)
-        ]
+        docs = decode_json(text, CircuitFormatError)
+        for doc in docs:
+            _parse_gate(doc, 0, seen, table)
     except CircuitFormatError:
         return None
-    if len(gates) != len(heads):
+    wirings = tuple(table)
+    if len(wirings) != len(heads):
         return None
-    fields = [_json_fields(gate.kind, gate.target, gate.controls) for gate in gates]
-    wirings = {}
-    for (head, key), gate, entry in zip(heads, gates, fields):
-        if gate.kind not in ROTATION_KINDS:
-            wirings[head, key] = gate, None
-        else:
+    fields = [_json_fields(*wiring) for wiring in wirings]
+    for (_, key), entry in zip(heads, fields):
+        if key:
             entry["angle"] = 0.0
-            period = TWO_PI if gate.kind is GateKind.FCR1 else FOUR_PI
-            wirings[head, key] = gate, period
     # json.dumps writes the fields as _json_entry does, 0.0 as "0.0"
     if json.dumps(fields) != text:
         return None
@@ -324,22 +328,30 @@ def _parse_document(text: str | bytes) -> Circuit:
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise CircuitFormatError('"gates" must be an array')
-    wirings: dict = {}
-    gates = [_parse_gate(entry, i, wirings) for i, entry in enumerate(raw_gates)]
+    seen: dict = {}
+    table: dict = {}
+    gates = [_parse_gate(entry, i, seen, table) for i, entry in enumerate(raw_gates)]
+    # numpy reads an X gate's angle None as NaN
+    ids = np.array([wiring for wiring, _ in gates], dtype=np.intp)
+    angles = np.array([angle for _, angle in gates], dtype=np.float64)
     try:
-        return Circuit(doc.get("n"), tuple(gates))
+        return Circuit._of_columns(doc.get("n"), tuple(table), ids, angles)
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from None
 
 
-def _parse_gate(entry: object, index: int, wirings: dict) -> Gate:
-    """One gate; ``wirings`` maps each valid wiring seen so far to its gate.
+def _parse_gate(
+    entry: object, index: int, seen: dict, table: dict
+) -> tuple[int, float | None]:
+    """One gate's wiring number and normalized angle.
 
-    The first gate of each wiring is built, and so checked, by ``Gate``; a
-    later gate of that wiring reuses the first one's checked fields, and
-    only its angle is checked.  JSON's ``true`` equals ``1`` and hashes like
-    it, so a wiring's lookup key is formed only when its kind is exactly a
-    ``str``, its target an ``int`` and its controls a ``list`` of ``int``.
+    ``table`` numbers each distinct checked wiring, and ``seen`` maps each
+    entry key seen so far to its wiring's number and kind.  The first gate
+    of each key is checked by ``Gate``; a later gate of that key reuses its
+    checked fields, and only its angle is checked.  JSON's ``true`` equals
+    ``1`` and hashes like it, so a key is formed only when the kind is
+    exactly a ``str``, the target an ``int`` and the controls a ``list`` of
+    ``int``.
     """
     if not isinstance(entry, dict):
         raise CircuitFormatError(f"gate {index}: expected an object")
@@ -351,15 +363,16 @@ def _parse_gate(entry: object, index: int, wirings: dict) -> Gate:
     if type(kind) is str and type(target) is int and type(controls) is list:
         if all(type(q) is int for q in controls):
             key = (kind, target, *controls)
-    seen = wirings.get(key)
+    known = seen.get(key)
     try:
-        if seen is None:
+        if known is None:
             # Gate rejects every entry whose key is None, so None is never
             # stored
-            gate = wirings[key] = Gate(kind, target, controls, angle)
-            return gate
-        return trusted_gate(
-            seen.kind, seen.target, seen.controls, check_angle(seen.kind, angle)
-        )
+            gate = Gate(kind, target, controls, angle)
+            wiring = table.setdefault((gate.kind, gate.target, gate.controls), len(table))
+            seen[key] = wiring, gate.kind
+            return wiring, gate.angle
+        wiring, kind = known
+        return wiring, check_angle(kind, angle)
     except ValueError as exc:
         raise CircuitFormatError(f"gate {index}: {exc}") from None

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ROTATION_KINDS, Circuit, Gate, GateKind
+from .circuit import ROTATION_KINDS, Circuit, GateKind
 from .matrix import DimensionError, check_tolerance
 
 
-def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
+def _apply_block(low: np.ndarray, high: np.ndarray, kind: GateKind, angle: float) -> None:
     """Apply a gate's 2x2 block in place to its target-bit-0 and -1 rows.
 
     Specified by ``gate_block`` in ``tests/masked_simulator.py``: the
@@ -52,9 +52,8 @@ def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
     numpy's complex multiply may round the two orders differently in the
     last bit.
     """
-    kind = gate.kind
     if kind is GateKind.FCRY:
-        half = gate.angle / 2.0
+        half = angle / 2.0
         cos_h = math.cos(half)
         sin_h = math.sin(half)
         new_low = cos_h * low
@@ -65,12 +64,12 @@ def _apply_block(low: np.ndarray, high: np.ndarray, gate: Gate) -> None:
         low[...] = new_low
     elif kind is GateKind.FCRZ:
         # diagonal: one product per row
-        half = gate.angle / 2.0
+        half = angle / 2.0
         np.multiply(cmath.exp(1j * half), low, out=low)
         np.multiply(cmath.exp(-1j * half), high, out=high)
     elif kind is GateKind.FCR1:
         # diagonal, and the upper entry is exactly 1
-        np.multiply(cmath.exp(1j * gate.angle), high, out=high)
+        np.multiply(cmath.exp(1j * angle), high, out=high)
     else:
         # X and FCX swap the rows
         saved = low.copy()
@@ -103,18 +102,29 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     full = circuit.n - 1
     m = np.eye(dim, dtype=np.complex128)
     qubit_axes = m.reshape((2,) * circuit.n + (dim,))
+    # a view of each row, made once
+    rows = list(m)
+    # per wiring: its kind, target, controls and target bit, and whether it
+    # only moves the frame or moves one row pair
+    wirings = [
+        (kind, target, controls, 1 << target,
+         not controls and kind not in ROTATION_KINDS, len(controls) == full)
+        for kind, target, controls in circuit.wirings
+    ]
     frame = 0
-    for gate in circuit.gates:
-        tbit = 1 << gate.target
-        controls = gate.controls
-        if not controls and gate.kind not in ROTATION_KINDS:
+    for wiring, angle in zip(
+        map(wirings.__getitem__, circuit.wiring_ids.tolist()), circuit.angles.tolist()
+    ):
+        kind, target, controls, tbit, moves_frame, one_pair = wiring
+        if moves_frame:
             frame ^= tbit
-        elif len(controls) == full:
+        elif one_pair:
             # every control bit 1, target bit 0: the one logical row dim-1-tbit
             s0 = (dim - 1 - tbit) ^ frame
-            _apply_block(m[s0], m[s0 ^ tbit], gate)
+            _apply_block(rows[s0], rows[s0 ^ tbit], kind, angle)
         else:
-            _apply_block(*_row_views(qubit_axes, gate.target, controls, frame), gate)
+            low, high = _row_views(qubit_axes, target, controls, frame)
+            _apply_block(low, high, kind, angle)
     return m[np.arange(dim) ^ frame] if frame else m
 
 
@@ -162,5 +172,5 @@ def verify(
         passed=frobenius <= tol,
         frobenius_error=frobenius,
         max_abs_entry_error=max_abs,
-        gate_count=len(circuit.gates),
+        gate_count=len(circuit),
     )

@@ -9,11 +9,14 @@ differ in one bit, so every emitted block acts on a pair of basis states one
 bit apart in the original indexing, which is what lets a block become a single
 fully-controlled gate downstream.
 
-One elimination loop, ``_eliminate``, gives each block as its state pair and
-the ZYZ angles ``(phi, theta, lam, mu)`` it computed (``None`` for an exact X
-block), in application order.  ``two_level_angles`` validates its input and
-then runs it; ``matrix_to_circuit`` runs it on the checked copy while
-``matrix.validate_while`` computes that copy's residual.  Zeroing ``b``
+One elimination loop, ``_eliminate``, records the blocks in application
+order as ``Blocks``, three parallel arrays: each block's Gray pair index
+``j`` (it acts on states ``pi_j`` and ``pi_j+1``), the ZYZ angles
+``(phi, theta, lam, mu)`` it computed (NaN for an exact X block), and the
+branch that emitted it.  ``two_level_angles`` validates its input, runs it
+and rebuilds one ``(s1, s2, angles)`` tuple per block; ``matrix_to_circuit``
+runs it on the checked copy while ``matrix.validate_while`` computes that
+copy's residual, and synthesizes from the arrays.  Zeroing ``b``
 against ``a`` emits ``(0, theta, arg a, arg b)`` with
 ``theta = atan2(|b|, |a|)``; a pair whose states run opposite to its Gray
 indices emits the X-conjugate, ``(0, -theta, -arg a, -arg b)``; the trailing
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +57,21 @@ _ONE = complex(1.0, 0.0)
 _ZERO = complex(0.0, 0.0)
 
 Angles = tuple[float, float, float, float]
+
+# A block's branch: a generic rotation, an exact X (the only branch with NaN
+# angles, the trailing corner's included), a phase fix on a finished row,
+# or the trailing corner
+GENERIC, EXACT_X, PHASE_FIX, CORNER = range(4)
+
+_NO_ANGLES = (math.nan,) * 4
+
+
+class Blocks(NamedTuple):
+    """Elimination's blocks in application order, one row each."""
+
+    pair: np.ndarray  # (K,) int: Gray pair j, on states pi_j and pi_j+1
+    angles: np.ndarray  # (K, 4) float64: (phi, theta, lam, mu)
+    branch: np.ndarray  # (K,) int8: GENERIC, EXACT_X, PHASE_FIX or CORNER
 
 
 def gray_permutation(n: int) -> np.ndarray:
@@ -104,20 +123,37 @@ def two_level_angles(
     ``None`` for an exact X block.  A generic input yields ``d*(d-1)/2``
     blocks for ``d = 2**n``; blocks that would be the identity are skipped.
     """
-    return _eliminate(validate_unitary(matrix, tol))
+    checked = validate_unitary(matrix, tol)
+    pi = gray_permutation(num_qubits(len(checked)))
+    pair, angles, branch = _eliminate(checked)
+    first = pi[pair]
+    second = pi[pair + 1]
+    return [
+        (s1, s2, None if code == EXACT_X else tuple(row))
+        for s1, s2, row, code in zip(
+            np.minimum(first, second).tolist(),
+            np.maximum(first, second).tolist(),
+            angles.tolist(),
+            branch.tolist(),
+        )
+    ]
 
 
-def _eliminate(matrix: np.ndarray) -> list[tuple[int, int, Angles | None]]:
-    """``two_level_angles`` of a matrix ``validate_unitary`` already returned,
-    unchecked; the matrix is only read."""
+def _eliminate(matrix: np.ndarray) -> Blocks:
+    """The blocks ``two_level_angles`` lists, as arrays, of a matrix
+    ``validate_unitary`` already returned, unchecked; the matrix is only
+    read."""
     dim = matrix.shape[0]
     pi = gray_permutation(num_qubits(dim)).tolist()
     work = matrix[np.ix_(pi, pi)]
-    # Gray columns (lo, lo + 1) hold states (pi_lo, pi_lo+1): the pair in
-    # order, and the sign that turns a Gray-frame block's angles into the
-    # emitted block's (-1 where the X-conjugate swaps the states back)
-    pairs = [(s, t, 1.0) if s < t else (t, s, -1.0) for s, t in zip(pi, pi[1:])]
-    out: list[tuple[int, int, Angles | None]] = []
+    # Gray columns (j, j + 1) hold states (pi_j, pi_j+1); the sign turns a
+    # Gray-frame block's angles into the emitted block's (-1 where the
+    # X-conjugate swaps the states back into order)
+    signs = [1.0 if s < t else -1.0 for s, t in zip(pi, pi[1:])]
+    # the blocks' columns, flat: a pair index, four angles and a branch each
+    pairs: list[int] = []
+    angles: list[float] = []
+    branches: list[int] = []
     # one buffer holds each rotation while it updates the columns; rows
     # above ``row`` are finished and never read again
     rotation = np.empty((2, 2), dtype=np.complex128)
@@ -137,12 +173,14 @@ def _eliminate(matrix: np.ndarray) -> list[tuple[int, int, Angles | None]]:
                 continue
             a = work.item(row, col - 1)
             abs_a = abs(a)
-            s1, s2, sign = pairs[col - 1]
+            sign = signs[col - 1]
+            pairs.append(col - 1)
             # the rotation (row-major entries) that zeroes b against a; the
             # emitted block is its conjugate transpose
             if abs_a <= ZERO_THRESHOLD:
                 entries = (_ZERO, _ONE, _ONE, _ZERO)
-                out.append((s1, s2, None))
+                angles += _NO_ANGLES
+                branches.append(EXACT_X)
             else:
                 theta = math.atan2(abs_b, abs_a)
                 arg_a = cmath.phase(a)
@@ -157,7 +195,8 @@ def _eliminate(matrix: np.ndarray) -> list[tuple[int, int, Angles | None]]:
                     sin_t * eb.conjugate(),
                     cos_t * ea,
                 )
-                out.append((s1, s2, (0.0, sign * theta, sign * arg_a, sign * arg_b)))
+                angles += (0.0, sign * theta, sign * arg_a, sign * arg_b)
+                branches.append(GENERIC)
             rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = entries
             work[row:, col - 1 : col + 1] = work[row:, col - 1 : col + 1] @ rotation
         arg = cmath.phase(work.item(row, row))
@@ -168,18 +207,30 @@ def _eliminate(matrix: np.ndarray) -> list[tuple[int, int, Angles | None]]:
             phase = cmath.exp(1j * arg)
             rotation[:] = ((phase.conjugate(), _ZERO), (_ZERO, phase))
             work[row:, row : row + 2] = work[row:, row : row + 2] @ rotation
-            s1, s2, sign = pairs[row]
-            out.append((s1, s2, (0.0, 0.0, sign * arg, 0.0)))
+            pairs.append(row)
+            angles += (0.0, 0.0, signs[row] * arg, 0.0)
+            branches.append(PHASE_FIX)
     # the trailing corner under the rows' rules: entries at or below the
     # threshold are exact zeros, and the block is kept unless theta is 0
-    # (which makes mu 0) and phi and lam, angles[::2], are identity angles
+    # (which makes mu 0) and phi and lam, rotation[::2], are identity angles
     final = work[-2:, -2:].ravel().tolist()
     corner = [z if abs(z) > ZERO_THRESHOLD else _ZERO for z in final]
-    s1, s2, sign = pairs[dim - 2]
-    if sign < 0:
+    flip = signs[dim - 2] < 0
+    if flip:
         corner.reverse()  # the X-conjugate's entries, row-major
-    angles = None if corner == [0, 1, 1, 0] else _zyz_angles(*corner, sign < 0)
-    if angles is None or angles[1] or max(map(abs, angles[::2])) > IDENTITY_ANGLE_TOL:
-        out.append((s1, s2, angles))
-    return out
+    if corner == [0, 1, 1, 0]:
+        pairs.append(dim - 2)
+        angles += _NO_ANGLES
+        branches.append(EXACT_X)
+    else:
+        rotation = _zyz_angles(*corner, flip)
+        if rotation[1] or max(map(abs, rotation[::2])) > IDENTITY_ANGLE_TOL:
+            pairs.append(dim - 2)
+            angles += rotation
+            branches.append(CORNER)
+    return Blocks(
+        np.array(pairs, dtype=np.intp),
+        np.array(angles, dtype=np.float64).reshape(-1, 4),
+        np.array(branches, dtype=np.int8),
+    )
 

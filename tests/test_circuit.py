@@ -230,7 +230,7 @@ def _gray_pairs(n):
 # later row) or when its pair is the last Gray pair (the trailing corner).
 
 
-def test_two_level_to_gates_five_qubit_wrappers():
+def test_matrix_to_circuit_five_qubit_wrappers():
     # states 00101 and 00111 (Gray indices 24 and 23) differ in bit 3; bits
     # 0 and 1 of s1 are zero
     s1 = 20  # ket 00101: qubit 0 is the leftmost character, bit 0
@@ -245,12 +245,12 @@ def test_two_level_to_gates_five_qubit_wrappers():
     assert np.linalg.norm(_gates_matrix(gates, 5) - u) <= 1e-10
 
 
-def test_two_level_to_gates_single_qubit_swap_is_plain_x():
+def test_matrix_to_circuit_single_qubit_swap_is_plain_x():
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     assert matrix_to_circuit(x, optimize=False).gates == (Gate(GateKind.X, 0),)
 
 
-def test_two_level_to_gates_exact_swap_block_is_fcx():
+def test_matrix_to_circuit_exact_swap_block_is_fcx():
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     # the trailing corner (states 3, 2) and a swap during elimination (0, 1)
     assert matrix_to_circuit(_two_level(2, 3, x, 2), optimize=False).gates == (
@@ -263,7 +263,7 @@ def test_two_level_to_gates_exact_swap_block_is_fcx():
     )
 
 
-def test_two_level_to_gates_su2_block_has_no_r1():
+def test_matrix_to_circuit_su2_block_has_no_r1():
     for s1, s2 in _gray_pairs(2):
         u = _two_level(s1, s2, _su2(8), 2)
         circuit = matrix_to_circuit(u, optimize=False)
@@ -272,7 +272,7 @@ def test_two_level_to_gates_su2_block_has_no_r1():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_two_level_to_gates_matches_embedding_everywhere(n):
+def test_matrix_to_circuit_matches_embedding_everywhere(n):
     pairs = _gray_pairs(n)
     for seed, (s1, s2) in enumerate(pairs):
         last = seed == len(pairs) - 1
@@ -519,7 +519,7 @@ def test_zyz_reconstruct_multiplies_out_the_rotation_chain():
         assert np.abs(got - chain).max() <= 1e-15
 
 
-def test_two_level_to_gates_reads_out_of_order_pairs_with_nonpositive_theta():
+def test_matrix_to_circuit_reads_out_of_order_pairs_with_nonpositive_theta():
     # states 3 and 2 sit at Gray indices 2 and 3: elimination emits the
     # X-conjugate there, whose Ry angle is -2*theta
     block = ry_matrix(0.8)
