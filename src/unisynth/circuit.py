@@ -32,10 +32,13 @@ differs from the chain's wrap, those leaving the frame from high to low and
 then those entering it from low to high, and it empties the frame at the
 end.  Consecutive Gray-adjacent blocks share most of their wraps, so most X
 gates are never emitted; ``optimize=False`` empties the frame after every
-block instead, which wraps each block in its own X gates.  Synthesis leaves
-out rotations within ``IDENTITY_ANGLE_TOL`` of the identity, the tolerance
-by which elimination (``twolevel.py``) already skips whole identity blocks,
-so every block it is given emits a non-empty chain.  Each link's angle is
+block instead, which wraps each block in its own X gates.  A block with
+theta 0, as every phase fix and a diagonal corner are, has an identity Ry
+link, and its two Rz links merge exactly, Rz(lam - mu) Rz(lam + mu) =
+Rz(2 lam): its chain is Rz(2 lam), then R1(phi).  Synthesis leaves out
+rotations within ``IDENTITY_ANGLE_TOL`` of the identity, the tolerance by
+which elimination (``twolevel.py``) already skips whole identity blocks, so
+every block it is given emits a non-empty chain.  Each link's angle is
 normalized by ``normalize_angles``, which equals ``normalize_angle`` bit for
 bit, so the chains equal those of a gate-by-gate synthesis (the reference
 synthesizer ``tests/reference_synthesis.py``), angle bits included.
@@ -392,10 +395,15 @@ def _chains(n: int, blocks: Blocks, optimize: bool) -> Circuit:
     up = np.arange(n)
 
     phi, theta, lam, mu = angles.T
-    links = np.stack([lam - mu, 2.0 * theta, lam + mu, phi], axis=1)
+    # with theta 0 the Ry link is the identity, and Rz(lam - mu) Rz(lam + mu)
+    # is Rz(2 lam): the chain is that one Rz, then R1(phi)
+    merged = theta == 0
+    first_rz = np.where(merged, 2.0 * lam, lam - mu)
+    links = np.stack([first_rz, 2.0 * theta, lam + mu, phi], axis=1)
     links = normalize_angles(links, _LINK_PERIODS)
     # an exact X block's angles are NaN, so it keeps no link but its swap
     keep = np.abs(links) > IDENTITY_ANGLE_TOL
+    keep[merged, 2] = False
     swap = branch == EXACT_X
     keep[:, 0] |= swap
 

@@ -3,10 +3,12 @@
 Each block of ``two_level_angles`` becomes its chain on target r under
 controls on every other qubit, Rz(lam - mu), Ry(2 theta), Rz(lam + mu) and
 R1(phi) with identity links left out, or one FCX (plain X at n = 1) for an
-exact X block.  X gates move one tracked frame to each block's wrap, qubits
-leaving it high to low and then qubits entering it low to high.  The
-library's columnar ``matrix_to_circuit`` must equal ``reference_circuit``
-of the same blocks gate for gate, angle bits and signed zeros included.
+exact X block.  A block with theta 0 has the chain Rz(2 lam), R1(phi): its
+Ry link is the identity, and its two Rz links merge.  X gates move one
+tracked frame to each block's wrap, qubits leaving it high to low and then
+qubits entering it low to high.  The library's columnar
+``matrix_to_circuit`` must equal ``reference_circuit`` of the same blocks
+gate for gate, angle bits and signed zeros included.
 """
 
 from __future__ import annotations
@@ -25,13 +27,17 @@ def _chain(
     if angles is None:
         return [swap]
     phi, theta, lam, mu = angles
-    chain = []
-    for kind, angle, period in (
+    links = [
         (GateKind.FCRZ, lam - mu, FOUR_PI),
         (GateKind.FCRY, 2.0 * theta, FOUR_PI),
         (GateKind.FCRZ, lam + mu, FOUR_PI),
         (GateKind.FCR1, phi, TWO_PI),
-    ):
+    ]
+    if theta == 0:
+        # Ry(0) is the identity and Rz(lam - mu) Rz(lam + mu) is Rz(2 lam)
+        links = [(GateKind.FCRZ, 2.0 * lam, FOUR_PI), links[3]]
+    chain = []
+    for kind, angle, period in links:
         angle = normalize_angle(angle, period)
         if abs(angle) > IDENTITY_ANGLE_TOL:
             chain.append(Gate(kind, r, controls, angle))

@@ -19,6 +19,7 @@ from unisynth import (
     CircuitFormatError,
     Gate,
     GateKind,
+    census,
     emit_json,
     haar_random_unitary,
     matrix_to_circuit,
@@ -26,6 +27,7 @@ from unisynth import (
     parse_json,
     save_matrix,
     two_level_angles,
+    verify,
 )
 from unisynth.circuit import FOUR_PI, TWO_PI, normalize_angles
 from unisynth.cli import main
@@ -121,6 +123,17 @@ def test_synthesis_equals_reference_on_drifted_inputs(n, seed, kind, optimize):
     if kind == "near_identity":
         u = u + _drift(rng, (dim, dim)) + 1j * _drift(rng, (dim, dim))
     _assert_equals_reference(u, optimize)
+
+
+def test_a_theta_zero_block_is_one_rz_then_its_r1():
+    # every block of a diagonal input is a phase fix or the corner, theta 0
+    u = np.diag(np.exp(1j * np.random.default_rng(3).uniform(-np.pi, np.pi, 8)))
+    blocks = two_level_angles(u)
+    assert blocks and all(angles[1] == 0 for _, _, angles in blocks)
+    for optimize in (True, False):
+        counts = census(matrix_to_circuit(u, optimize=optimize))
+        assert (counts.ry, counts.rz, counts.r1) == (0, len(blocks), 1)
+    assert verify(u, matrix_to_circuit(u)).passed
 
 
 def _bits(x):
