@@ -15,8 +15,8 @@ A ``Circuit`` is stored as columns: a table of the distinct wirings (kind,
 target, controls) its gates use, and per gate an index into that table and
 an angle (NaN for X and FCX).  Qubit ranges are checked once per wiring.
 ``Gate`` is the element type: ``Circuit(n, gates)`` takes ``Gate`` objects,
-and ``Circuit.gates`` builds them on access.  ``census`` tallies gates by
-kind from the columns.
+and the ``gates`` of a circuit made as columns are built on access.
+``census`` tallies gates by kind from the columns.
 
 A two-level unitary on states (s1, s2) differing in bit r becomes a rotation
 chain targeting qubit r, controlled on every other qubit, wrapped in X gates

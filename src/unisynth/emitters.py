@@ -63,6 +63,9 @@ _QUBIT_ORDER_NOTE = (
 # it is split out there and never reaches the emitted text.
 _ANGLE_SLOT = "\0"
 
+# gates whose angles _statements holds as Python floats at one time
+_CHUNK = 1 << 14
+
 
 class CircuitFormatError(ValueError):
     """Malformed circuit JSON text."""
@@ -92,19 +95,23 @@ def _statements(
         heads.append(head)
         tails.append(tail)
         flips.append(negate and kind in (GateKind.FCRY, GateKind.FCRZ))
-    ids = circuit.wiring_ids
-    angles = circuit.angles
-    if any(flips):
-        angles = np.where(np.array(flips)[ids], -angles, angles)
-    ids = ids.tolist()
-    return [
-        head if tail is None else head + angle_text + tail
-        for head, tail, angle_text in zip(
-            map(heads.__getitem__, ids),
-            map(tails.__getitem__, ids),
-            map(float.__repr__, angles.tolist()),
-        )
-    ]
+    flips = np.array(flips, dtype=bool)
+    out: list[str] = []
+    # a chunk at a time, so only one chunk's angles are Python floats at once
+    for start in range(0, len(circuit), _CHUNK):
+        ids = circuit.wiring_ids[start : start + _CHUNK]
+        angles = circuit.angles[start : start + _CHUNK]
+        angles = np.where(flips[ids], -angles, angles).tolist()
+        ids = ids.tolist()
+        out += [
+            head if tail is None else head + angle_text + tail
+            for head, tail, angle_text in zip(
+                map(heads.__getitem__, ids),
+                map(tails.__getitem__, ids),
+                map(float.__repr__, angles),
+            )
+        ]
+    return out
 
 
 def check_operation_name(name: str) -> None:
@@ -247,20 +254,19 @@ def _parse_emitted(text: str | bytes) -> Circuit | None:
     if envelope is None or not text.startswith(_EMITTED_TAIL, stop):
         return None
     n = int(envelope[1])
-    entries = [
-        entry.partition(_ANGLE_KEY)
-        for entry in text[envelope.end() : stop].split(_GATE_BREAK)
-    ]
-    # each (head, angle key) is numbered in order of first use
+    # each (head, angle key) is numbered in order of first use; an entry's
+    # head is dropped once numbered, so no more than one is held at a time
     index: dict = {}
-    ids = np.array(
-        [index.setdefault((head, key), len(index)) for head, key, _ in entries],
-        dtype=np.intp,
-    )
+    ids = []
+    tokens = []
+    for entry in text[envelope.end() : stop].split(_GATE_BREAK):
+        head, key, token = entry.partition(_ANGLE_KEY)
+        ids.append(index.setdefault((head, key), len(index)))
+        if key:
+            tokens.append(token)
     wirings = _emitted_wirings(list(index))
     if wirings is None:
         return None
-    tokens = [token for _, key, token in entries if key]
     try:
         numbers = ",".join([*tokens, ""]).encode("ascii")
     except UnicodeEncodeError:
@@ -270,6 +276,7 @@ def _parse_emitted(text: str | bytes) -> Circuit | None:
     if values is None or values.size != len(tokens) or not np.isfinite(values).all():
         return None
     # an entry has an angle key exactly when its wiring is a rotation's
+    ids = np.array(ids, dtype=np.intp)
     rotation = np.array([bool(key) for _, key in index])[ids]
     periods = [TWO_PI if kind is GateKind.FCR1 else FOUR_PI for kind, _, _ in wirings]
     angles = np.full(len(ids), np.nan)

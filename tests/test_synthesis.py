@@ -180,16 +180,17 @@ def test_normalize_angles_equals_normalize_angle_bit_for_bit(cases):
 
 
 # An out-of-range qubit is rejected once per wiring, with the message the
-# per-gate walk gave: the first gate out of range names its highest qubit.
+# per-gate walk gave: the first gate out of range names its highest qubit
+# (3 here at n = 3, not the later X's 5).
 
 _OUT_OF_RANGE = Circuit(
-    4,
+    6,
     (
         Gate(GateKind.FCRY, 0, (1, 2), 0.5),
         Gate(GateKind.X, 1),
         Gate(GateKind.FCRZ, 3, (0, 1, 2), 0.25),
         Gate(GateKind.FCRZ, 3, (0, 1, 2), 0.5),
-        Gate(GateKind.X, 3),
+        Gate(GateKind.X, 5),
     ),
 )
 _MESSAGE = "gate touches qubit 3 but circuit has n=3"
@@ -203,7 +204,7 @@ def test_circuit_rejects_an_out_of_range_qubit_once_per_wiring():
 
 def test_both_parse_json_paths_reject_an_out_of_range_qubit():
     assert _parse_emitted(emit_json(_OUT_OF_RANGE)) == _OUT_OF_RANGE
-    text = emit_json(_OUT_OF_RANGE).replace('"n": 4', '"n": 3')
+    text = emit_json(_OUT_OF_RANGE).replace('"n": 6', '"n": 3')
     # the bulk path takes no text it does not prove valid
     assert _parse_emitted(text) is None
     for parse in (parse_json, _parse_document):
@@ -220,7 +221,7 @@ def test_verify_rejects_an_out_of_range_qubit_as_input_error(tmp_path, capsys):
     matrix = tmp_path / "m.json"
     matrix.write_text(save_matrix(np.eye(8)), encoding="utf-8")
     circuit = tmp_path / "c.json"
-    circuit.write_text(emit_json(_OUT_OF_RANGE).replace('"n": 4', '"n": 3'), encoding="utf-8")
+    circuit.write_text(emit_json(_OUT_OF_RANGE).replace('"n": 6', '"n": 3'), encoding="utf-8")
     assert main(["verify", "-i", str(matrix), "-c", str(circuit)]) == 2
     assert capsys.readouterr().err == f"error: {circuit}: {_MESSAGE}\n"
 
